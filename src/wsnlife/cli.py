@@ -12,6 +12,8 @@ import json
 import sys
 
 from . import harness
+from .lpsolver import SimplexError
+from .numerics import ConvergenceError
 from .routing import CostParams, NoRouteError, build_links, simulate_dynamic, solve_lifetime_lp
 
 
@@ -154,7 +156,7 @@ def main(argv: list[str] | None = None) -> int:
                 workers=args.workers,
             )
             _emit(table.to_csv(), args.out)
-    except (NoRouteError, ValueError, OSError) as exc:
+    except (NoRouteError, SimplexError, ConvergenceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

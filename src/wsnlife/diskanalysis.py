@@ -98,10 +98,10 @@ def _load(b: float, p_r: Sequence[float], scenario: DiskScenario) -> float:
     bypass probabilities of the rings outside it."""
     hops = int((scenario.b0 - b) / scenario.a0)
     total = 0.0
+    survive = 1.0
     for n in range(hops + 1):
-        survive = 1.0
-        for j in range(1, n + 1):
-            survive *= 1.0 - p_r[scenario.ring_index(b + j * scenario.a0)]
+        if n:
+            survive *= 1.0 - p_r[scenario.ring_index(b + n * scenario.a0)]
         total += (1.0 + n * scenario.a0 / b) * survive
     return total
 

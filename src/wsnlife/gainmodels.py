@@ -103,7 +103,7 @@ class GainEstimate:
     """Scalar energy gain with the model that produced it."""
 
     value: float
-    mode: str  # cb-bound | ct-closed-form | ideal | monte-carlo
+    mode: str  # cb-bound | ct-closed-form | monte-carlo
     stderr: float = 0.0
 
     def __post_init__(self):

@@ -94,7 +94,7 @@ class ResultTable:
 
 def _fmt(v) -> str:
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))  # numpy scalars would print as np.float64(...)
     return str(v)
 
 

@@ -3,15 +3,15 @@
 Solves max c.x subject to A x = b, x >= 0.  Dantzig pricing with a
 permanent switch to Bland's rule once a degeneracy streak is
 detected, so termination is guaranteed and pivots are deterministic.
+An optimal basis that does not solve the original system to 1e-9
+(relative to the largest |b|) raises SimplexError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .numerics import Tolerance
 
 __all__ = ["StandardLP", "LPSolution", "solve_lp", "SimplexError"]
 
@@ -29,7 +29,6 @@ class StandardLP:
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    names: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -43,8 +42,6 @@ class StandardLP:
         m, n = a.shape
         if b.shape[0] != m or c.shape[0] != n:
             raise ValueError("inconsistent LP dimensions")
-        if self.names and len(self.names) != n:
-            raise ValueError("one name per variable required")
 
 
 @dataclass(frozen=True)
@@ -120,7 +117,7 @@ def _run_simplex(
     raise SimplexError(f"simplex did not terminate within {max_iters} pivots")
 
 
-def solve_lp(lp: StandardLP, tol: Tolerance = Tolerance(rel=1e-9)) -> LPSolution:
+def solve_lp(lp: StandardLP) -> LPSolution:
     a = lp.a.copy()
     b = lp.b.copy()
     c = lp.c
@@ -177,4 +174,9 @@ def solve_lp(lp: StandardLP, tol: Tolerance = Tolerance(rel=1e-9)) -> LPSolution
     for i, j in enumerate(basis):
         x[j] = tab[i, -1]
     x[np.abs(x) < 1e-12] = 0.0
+    # The tableau is pivoted in place through both phases, so rounding
+    # can leave a basis that no longer solves the original system.
+    violation = max(np.abs(lp.a @ x - lp.b).max(initial=0.0), -x.min(initial=0.0))
+    if violation > 1e-9 * (1.0 + np.abs(lp.b).max(initial=0.0)):
+        raise SimplexError(f"final basis violates A x = b, x >= 0 by {violation:.3g}")
     return LPSolution(x=x, objective=float(c @ x), status="optimal")

@@ -1,5 +1,5 @@
-"""Shared numeric routines: terminating Gauss hypergeometric series,
-adaptive quadrature, and bracketed bisection.
+"""Shared numeric routines: the terminating Gauss hypergeometric
+series and adaptive quadrature.
 
 Everything here is a pure function over 64-bit floats.
 """
@@ -15,10 +15,8 @@ __all__ = [
     "Hyp2F1Args",
     "CancellationWarning",
     "ConvergenceError",
-    "NoSignChangeError",
     "hyp2f1_terminating",
     "integrate_1d",
-    "bisect_root",
 ]
 
 # Guard on sum(|term|)/|result| before warning the caller that the
@@ -33,10 +31,6 @@ class CancellationWarning(UserWarning):
 
 class ConvergenceError(RuntimeError):
     """An iterative routine exhausted its iteration budget."""
-
-
-class NoSignChangeError(ValueError):
-    """Bisection bracket does not straddle a root."""
 
 
 @dataclass(frozen=True)
@@ -148,34 +142,3 @@ def integrate_1d(
     if eps2 < eps:
         result = recurse(lo, flo, hi, fhi, m, fm, whole, eps2, 0)
     return result
-
-
-def bisect_root(
-    f: Callable[[float], float], lo: float, hi: float, tol: Tolerance = Tolerance()
-) -> float:
-    """Root of f on [lo, hi] by plain bisection.
-
-    Requires a sign change over the bracket; the result is
-    deterministic for identical inputs.
-    """
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise NoSignChangeError(f"f({lo})={flo} and f({hi})={fhi} have the same sign")
-    for _ in range(tol.max_iters):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol.abs + tol.rel * abs(mid):
-            return mid
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    raise ConvergenceError(
-        f"bisection bracket still {hi - lo:.3g} wide after {tol.max_iters} iterations"
-    )

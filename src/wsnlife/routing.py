@@ -17,7 +17,6 @@ import numpy as np
 
 from .gainmodels import PhyParams
 from .lpsolver import StandardLP, solve_lp
-from .numerics import Tolerance
 
 __all__ = [
     "SensorNode",
@@ -57,17 +56,33 @@ class SensorNode:
 @dataclass(frozen=True)
 class LinkSet:
     """Directed direct links plus cooperative links (src, dst) ->
-    helper tuple."""
+    helper tuple.
+
+    The adjacency indexes are built once from those two fields (and
+    again by dataclasses.replace); each maps a node id to its target
+    ids in ascending order.
+    """
 
     direct: frozenset[tuple[int, int]]
     coop: dict[tuple[int, int], tuple[int, ...]]
-    nearest: dict[int, int] = field(default_factory=dict)
+    direct_succ: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    coop_succ: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    direct_pred: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
-    def direct_out(self, i: int) -> list[int]:
-        return sorted(j for (a, j) in self.direct if a == i)
+    def __post_init__(self):
+        object.__setattr__(self, "direct_succ", _adjacency(self.direct))
+        object.__setattr__(self, "coop_succ", _adjacency(self.coop))
+        object.__setattr__(self, "direct_pred", _adjacency((j, i) for i, j in self.direct))
 
-    def helpers(self, i: int, m: int) -> tuple[int, ...]:
-        return self.coop[(i, m)]
+    def direct_out(self, i: int) -> tuple[int, ...]:
+        return self.direct_succ.get(i, ())
+
+
+def _adjacency(pairs) -> dict[int, tuple[int, ...]]:
+    out: dict[int, list[int]] = {}
+    for i, j in pairs:
+        out.setdefault(i, []).append(j)
+    return {i: tuple(sorted(js)) for i, js in out.items()}
 
 
 @dataclass(frozen=True)
@@ -116,17 +131,16 @@ def build_links(nodes: list[SensorNode], phy: PhyParams) -> LinkSet:
             if a.id != b.id and dist[(a.id, b.id)] <= a0:
                 direct.add((a.id, b.id))
 
-    nearest: dict[int, int] = {}
     coop: dict[tuple[int, int], tuple[int, ...]] = {}
     sensors = [n for n in nodes if not n.is_sink]
     for src in sensors:
-        candidates = sorted(
-            (dist[(src.id, other.id)], other.id) for other in sensors if other.id != src.id
+        nearest = min(
+            ((dist[(src.id, other.id)], other.id) for other in sensors if other.id != src.id),
+            default=None,
         )
-        if not candidates:
+        if nearest is None:
             continue
-        d_h, h = candidates[0]
-        nearest[src.id] = h
+        d_h, h = nearest
         if d_h > a0:
             continue  # helper cannot decode the source
         for tgt in nodes:
@@ -135,22 +149,11 @@ def build_links(nodes: list[SensorNode], phy: PhyParams) -> LinkSet:
             combined = dist[(src.id, tgt.id)] ** -phy.alpha + dist[(h, tgt.id)] ** -phy.alpha
             if combined >= threshold:
                 coop[(src.id, tgt.id)] = (h,)
-    return LinkSet(direct=frozenset(direct), coop=coop, nearest=nearest)
-
-
-def _lp_variables(nodes, links, with_coop):
-    sinks = {n.id for n in nodes if n.is_sink}
-    direct_vars = sorted((i, j) for (i, j) in links.direct if i not in sinks)
-    coop_vars = sorted(links.coop) if with_coop else []
-    coop_vars = [(i, m) for (i, m) in coop_vars if i not in sinks]
-    return sinks, direct_vars, coop_vars
+    return LinkSet(direct=frozenset(direct), coop=coop)
 
 
 def solve_lifetime_lp(
-    nodes: list[SensorNode],
-    links: LinkSet,
-    with_coop: bool = True,
-    tol: Tolerance = Tolerance(rel=1e-9),
+    nodes: list[SensorNode], links: LinkSet, with_coop: bool = True
 ) -> FlowSolution:
     """Max-min lifetime as an LP over lifetime-scaled flows.
 
@@ -159,73 +162,43 @@ def solve_lifetime_lp(
     A cooperative unit of flow consumes one energy unit at the
     transmitter and one at each helper.
     """
-    sinks, direct_vars, coop_vars = _lp_variables(nodes, links, with_coop)
     sensors = [n for n in nodes if not n.is_sink]
-    nd, nc, ns = len(direct_vars), len(coop_vars), len(sensors)
-    # columns: direct flows | coop flows | T | energy slacks
-    n_cols = nd + nc + 1 + ns
-    t_col = nd + nc
-    col_of_direct = {lk: k for k, lk in enumerate(direct_vars)}
-    col_of_coop = {lk: nd + k for k, lk in enumerate(coop_vars)}
-    sensor_row = {n.id: r for r, n in enumerate(sensors)}
-
-    rows = []
-    rhs = []
-    # Flow conservation at every non-sink node: out - in - rate*T = 0.
-    for node in sensors:
-        row = np.zeros(n_cols)
-        for (i, j), k in col_of_direct.items():
-            if i == node.id:
-                row[k] += 1.0
-            if j == node.id:
-                row[k] -= 1.0
-        for (i, m), k in col_of_coop.items():
-            if i == node.id:
-                row[k] += 1.0
-            if m == node.id:
-                row[k] -= 1.0
-        row[t_col] = -node.rate
-        rows.append(row)
-        rhs.append(0.0)
-    # Energy caps: transmissions + helper duty + slack = energy.
-    for node in sensors:
-        row = np.zeros(n_cols)
-        for (i, _j), k in col_of_direct.items():
-            if i == node.id:
-                row[k] += 1.0
-        for (i, m), k in col_of_coop.items():
-            if i == node.id:
-                row[k] += 1.0
-            if node.id in links.coop.get((i, m), ()):
-                row[k] += 1.0
-        row[t_col + 1 + sensor_row[node.id]] = 1.0
-        rows.append(row)
-        rhs.append(node.energy)
-
-    c = np.zeros(n_cols)
+    row_of = {n.id: r for r, n in enumerate(sensors)}
+    # (src, dst, helpers) per flow column: direct links, then coop links.
+    flows = [(i, j, ()) for (i, j) in sorted(links.direct) if i in row_of]
+    n_direct = len(flows)
+    if with_coop:
+        flows += [(i, m, h) for (i, m), h in sorted(links.coop.items()) if i in row_of]
+    ns, t_col = len(sensors), len(flows)
+    # rows: flow conservation (out - in - rate*T = 0) | energy caps
+    # (transmissions + helper duty + slack = energy);
+    # columns: flows | T | energy slacks.
+    a = np.zeros((2 * ns, t_col + 1 + ns))
+    for k, (i, j, helpers) in enumerate(flows):
+        a[row_of[i], k] += 1.0
+        a[ns + row_of[i], k] += 1.0
+        if j in row_of:
+            a[row_of[j], k] -= 1.0
+        for h in helpers:
+            a[ns + row_of[h], k] += 1.0
+    for r, node in enumerate(sensors):
+        a[r, t_col] = -node.rate
+        a[ns + r, t_col + 1 + r] = 1.0
+    b = np.array([0.0] * ns + [n.energy for n in sensors])
+    c = np.zeros(a.shape[1])
     c[t_col] = 1.0
-    names = (
-        [f"q_{i}_{j}" for i, j in direct_vars]
-        + [f"qc_{i}_{m}" for i, m in coop_vars]
-        + ["T"]
-        + [f"s_{n.id}" for n in sensors]
-    )
-    sol = solve_lp(StandardLP(a=np.array(rows), b=np.array(rhs), c=c, names=tuple(names)), tol)
+    sol = solve_lp(StandardLP(a=a, b=b, c=c))
     if sol.status != "optimal":
         return FlowSolution(qhat={}, lifetime=0.0, energy_used={}, status=sol.status)
 
     qhat: dict[tuple[int, int, bool], float] = {}
-    for (i, j), k in col_of_direct.items():
-        if sol.x[k] > 0.0:
-            qhat[(i, j, False)] = float(sol.x[k])
-    for (i, m), k in col_of_coop.items():
-        if sol.x[k] > 0.0:
-            qhat[(i, m, True)] = float(sol.x[k])
     energy_used = {n.id: 0.0 for n in nodes}
-    for (i, m, is_coop), q in qhat.items():
-        energy_used[i] += q
-        if is_coop:
-            for h in links.coop[(i, m)]:
+    for k, (i, j, helpers) in enumerate(flows):
+        if sol.x[k] > 0.0:
+            q = float(sol.x[k])
+            qhat[(i, j, k >= n_direct)] = q
+            energy_used[i] += q
+            for h in helpers:
                 energy_used[h] += q
     return FlowSolution(
         qhat=qhat,
@@ -290,7 +263,7 @@ def _least_cost_path(
         if u != src and nodes_by_id[u].is_sink:
             continue
         edges = [(v, False) for v in links.direct_out(u)]
-        edges += [(m, True) for (a, m) in sorted(links.coop) if a == u]
+        edges += [(m, True) for m in links.coop_succ.get(u, ())]
         for v, is_coop in edges:
             w = dynamic_cost(u, v, links, params, initial, remaining)
             if not math.isfinite(w):
@@ -364,8 +337,8 @@ def shortest_path_lifetime(nodes: list[SensorNode], links: LinkSet) -> float:
     while frontier:
         nxt = []
         for v in frontier:
-            for (i, j) in links.direct:
-                if j == v and i not in hops:
+            for i in links.direct_pred.get(v, ()):
+                if i not in hops:
                     hops[i] = hops[v] + 1
                     nxt.append(i)
         frontier = sorted(set(nxt))

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from wsnlife import cli, harness
+from wsnlife.lpsolver import SimplexError
+from wsnlife.numerics import ConvergenceError
 from wsnlife.routing import build_links, solve_lifetime_lp
 
 
@@ -62,6 +64,15 @@ class TestRunGain:
         )
         for row in table.rows:
             assert row[4] == 1.0 and row[5] == 1.0
+
+    def test_csv_numbers_parse(self):
+        table = harness.run_gain(harness.default_phy(), radii=(10.0, 30.0), trials=100, seed=1)
+        lines = [l for l in table.to_csv().splitlines() if not l.startswith("#")]
+        assert lines[0] == ",".join(table.columns)
+        for line, row in zip(lines[1:], table.rows):
+            fields = line.split(",")
+            assert fields[0] == "ct"
+            assert [float(f) for f in fields[1:]] == [float(v) for v in row[1:]]
 
     def test_repeatable(self):
         phy = harness.default_phy()
@@ -140,6 +151,19 @@ class TestCli:
     def test_bad_topology_path(self):
         rc = cli.main(["lp", "--topology", "/nonexistent/x.json"])
         assert rc == 1
+
+    @pytest.mark.parametrize("error", [SimplexError, ConvergenceError])
+    def test_solver_error_is_one_line(self, tmp_path, snapshot_nodes, monkeypatch, capsys, error):
+        topo = tmp_path / "topo.json"
+        harness.save_topology(snapshot_nodes, str(topo))
+
+        def fail(*args, **kwargs):
+            raise error("solver gave up")
+
+        monkeypatch.setattr(cli, "solve_lifetime_lp", fail)
+        rc = cli.main(["lp", "--topology", str(topo)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: solver gave up\n"
 
     def test_simulate_subcommand(self, tmp_path, snapshot_nodes):
         topo = tmp_path / "topo.json"

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from wsnlife.lpsolver import LPSolution, StandardLP, solve_lp
+from wsnlife import lpsolver
+from wsnlife.lpsolver import LPSolution, SimplexError, StandardLP, solve_lp
 
 
 def enumerate_vertices(lp: StandardLP):
@@ -112,3 +113,18 @@ class TestSolveLp:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             StandardLP(a=[[1.0, 2.0]], b=[1.0, 2.0], c=[1.0, 0.0])
+
+    def test_wrong_final_basis_raises(self, monkeypatch):
+        # A tableau whose RHS drifted during pivoting yields a basis that
+        # no longer solves A x = b; it must not be reported optimal.
+        run = lpsolver._run_simplex
+
+        def drifting(tab, basis, ncols, max_iters):
+            status = run(tab, basis, ncols, max_iters)
+            tab[0, -1] += 1e-6
+            return status
+
+        monkeypatch.setattr(lpsolver, "_run_simplex", drifting)
+        lp = StandardLP(a=[[1.0, 1.0]], b=[5.0], c=[1.0, 0.0])
+        with pytest.raises(SimplexError, match="violates"):
+            solve_lp(lp)

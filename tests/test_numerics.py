@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from wsnlife.numerics import (
     CancellationWarning,
     Hyp2F1Args,
-    NoSignChangeError,
     Tolerance,
-    bisect_root,
     hyp2f1_terminating,
     integrate_1d,
 )
@@ -105,26 +103,3 @@ class TestIntegrate1D:
         with pytest.raises(ValueError):
             integrate_1d(math.sin, 1.0, 0.0)
 
-
-class TestBisect:
-    def test_linear(self):
-        root = bisect_root(lambda x: x - 3.0, 0.0, 10.0, Tolerance(rel=1e-12, abs=1e-12))
-        assert root == pytest.approx(3.0, abs=1e-10)
-
-    def test_sqrt2(self):
-        root = bisect_root(lambda x: x * x - 2.0, 0.0, 2.0, Tolerance(rel=1e-13, abs=1e-13))
-        assert root == pytest.approx(math.sqrt(2.0), abs=1e-11)
-
-    def test_no_sign_change(self):
-        with pytest.raises(NoSignChangeError):
-            bisect_root(lambda x: x * x + 1.0, 0.0, 2.0)
-
-    def test_deterministic(self):
-        f = lambda x: math.cos(x) - x
-        tol = Tolerance(rel=1e-14, abs=1e-14)
-        a = bisect_root(f, 0.0, 1.0, tol)
-        b = bisect_root(f, 0.0, 1.0, tol)
-        assert a == b
-
-    def test_endpoint_root(self):
-        assert bisect_root(lambda x: x, 0.0, 1.0) == 0.0

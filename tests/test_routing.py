@@ -1,7 +1,12 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wsnlife import routing
 from wsnlife.harness import default_phy, generate_topology
 from wsnlife.routing import (
     CostParams,
@@ -52,13 +57,98 @@ class TestBuildLinks:
         assert {i for (i, j) in links.direct if j == 1} == {2}
         # the snapshot's cooperative shot to the sink, helped by node 5
         assert links.coop[(6, 1)] == (5,)
-        assert links.nearest[6] == 5
         # no direct sink reach from 3..6
         for i in (3, 4, 5, 6):
             assert (i, 1) not in links.direct
 
 
+def scanned_adjacency(pairs):
+    """Reference index: one full scan of the link pairs per source."""
+    sources = {i for (i, _j) in pairs}
+    return {i: tuple(sorted(j for (a, j) in pairs if a == i)) for i in sources}
+
+
+class TestLinkIndex:
+    @staticmethod
+    def assert_matches_scan(links):
+        assert links.direct_succ == scanned_adjacency(links.direct)
+        assert links.coop_succ == scanned_adjacency(links.coop)
+        assert links.direct_pred == scanned_adjacency({(j, i) for (i, j) in links.direct})
+        for i, targets in links.direct_succ.items():
+            assert links.direct_out(i) == targets
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 14),
+        field=st.floats(20.0, 200.0),
+        seed=st.integers(0, 2**32 - 1),
+        keep=st.integers(1, 3),
+    )
+    def test_matches_brute_force_scan(self, phy, n, field, seed, keep):
+        links = build_links(generate_topology(n, field, seed), phy)
+        self.assert_matches_scan(links)
+        # replace() must rebuild the indexes from the new link fields
+        thinned = replace(
+            links,
+            direct=frozenset(sorted(links.direct)[::keep]),
+            coop=dict(list(links.coop.items())[::keep]),
+        )
+        self.assert_matches_scan(thinned)
+
+    def test_node_without_links(self, phy):
+        links = build_links(two_node_net(phy, 2.0), phy)
+        assert links.direct_out(1) == ()
+
+
+def reference_lp_matrix(nodes, links, with_coop):
+    """Row-by-row assembly of the lifetime LP: one conservation row and
+    one energy row per sensor over columns direct flows | coop flows |
+    T | energy slacks."""
+    sinks = {n.id for n in nodes if n.is_sink}
+    sensors = [n for n in nodes if not n.is_sink]
+    arcs = [(i, j) for (i, j) in sorted(links.direct) if i not in sinks]
+    coop = [(i, m) for (i, m) in sorted(links.coop) if i not in sinks] if with_coop else []
+    nd, nc, ns = len(arcs), len(coop), len(sensors)
+    t_col = nd + nc
+    rows, rhs = [], []
+    for node in sensors:
+        row = [0.0] * (t_col + 1 + ns)
+        for k, (i, j) in enumerate(arcs + coop):
+            row[k] = float(i == node.id) - float(j == node.id)
+        row[t_col] = -node.rate
+        rows.append(row)
+        rhs.append(0.0)
+    for r, node in enumerate(sensors):
+        row = [0.0] * (t_col + 1 + ns)
+        for k, (i, _j) in enumerate(arcs):
+            row[k] = float(i == node.id)
+        for k, (i, m) in enumerate(coop):
+            row[nd + k] = float(i == node.id) + float(node.id in links.coop[(i, m)])
+        row[t_col + 1 + r] = 1.0
+        rows.append(row)
+        rhs.append(node.energy)
+    c = [0.0] * (t_col + 1 + ns)
+    c[t_col] = 1.0
+    return np.array(rows), np.array(rhs), np.array(c)
+
+
 class TestLifetimeLp:
+    @pytest.mark.parametrize("with_coop", [False, True])
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3])
+    def test_assembly_matches_row_by_row_reference(
+        self, phy, snapshot_nodes, monkeypatch, seed, with_coop
+    ):
+        nodes = snapshot_nodes if seed is None else generate_topology(12, 80.0, seed)
+        links = build_links(nodes, phy)
+        captured = []
+        solve = routing.solve_lp
+        monkeypatch.setattr(routing, "solve_lp", lambda lp: captured.append(lp) or solve(lp))
+        solve_lifetime_lp(nodes, links, with_coop=with_coop)
+        a, b, c = reference_lp_matrix(nodes, links, with_coop)
+        (lp,) = captured
+        assert lp.a.shape == a.shape
+        assert np.array_equal(lp.a, a) and np.array_equal(lp.b, b) and np.array_equal(lp.c, c)
+
     def test_single_hop(self, phy):
         nodes = two_node_net(phy, 0.5)
         links = build_links(nodes, phy)
