@@ -2,7 +2,7 @@
 beamforming and cooperative transmission.
 
 Subpackages cover special-function numerics, CB/CT gain models, the
-2D-disk bypass optimization, a dense simplex LP solver, max-min
+2D-disk bypass optimization, a revised simplex LP solver, max-min
 lifetime routing, and experiment drivers with a CLI front end.
 """
 

@@ -92,16 +92,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_value(parser: argparse.ArgumentParser, key: str, action: argparse.Action, value):
+    """Convert one --config override as argparse would convert the same
+    value given on the command line, or stop with a one-line error."""
+    if action.nargs == 0:  # store_true
+        if not isinstance(value, bool):
+            parser.error(f"config key {key!r} expects true or false, got {value!r}")
+        return value
+    listed = action.nargs in ("+", "*")
+    if listed != isinstance(value, list) or (action.nargs == "+" and not value):
+        parser.error(f"config key {key!r} expects {'a list' if listed else 'one value'}, got {value!r}")
+    items = []
+    for item in value if listed else [value]:
+        try:
+            item = action.type(str(item)) if action.type else str(item)
+        except (TypeError, ValueError):
+            parser.error(f"config key {key!r}: invalid value {item!r}")
+        if action.choices is not None and item not in action.choices:
+            parser.error(f"config key {key!r}: {item!r} is not one of {sorted(action.choices)}")
+        items.append(item)
+    return items if listed else items[0]
+
+
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.config:
-        with open(args.config) as fh:
-            overrides = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                overrides = json.load(fh)
+        except (OSError, ValueError) as exc:
+            parser.error(f"--config: {exc}")
+        if not isinstance(overrides, dict):
+            parser.error("--config: expected a JSON object")
+        actions = {}  # dest -> action, global flags and the chosen subcommand's
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                actions.update((a.dest, a) for a in action.choices[args.command]._actions)
+            else:
+                actions[action.dest] = action
         for key, value in overrides.items():
             attr = key.replace("-", "_")
-            if not hasattr(args, attr):
+            if attr not in actions or not hasattr(args, attr):
                 parser.error(f"unknown config key {key!r}")
-            setattr(args, attr, value)
+            setattr(args, attr, _config_value(parser, key, actions[attr], value))
     return args
 
 

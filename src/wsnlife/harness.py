@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from io import StringIO
@@ -124,18 +125,41 @@ def save_topology(nodes: list[SensorNode], path: str) -> None:
 
 
 def load_topology(path: str) -> list[SensorNode]:
+    """Read a topology file.  A malformed one (no node list, a node
+    without id/x/y, a non-numeric or non-finite value, a duplicate id,
+    no sink) raises a one-line ValueError."""
     with open(path) as fh:
         data = json.load(fh)
-    return [
-        SensorNode(
-            id=int(n["id"]),
-            x=float(n["x"]),
-            y=float(n["y"]),
-            energy=float(n.get("energy", 1.0)),
-            rate=float(n.get("rate", 1.0)),
-        )
-        for n in data["nodes"]
-    ]
+    entries = data.get("nodes") if isinstance(data, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: expected an object with a 'nodes' list")
+    nodes = []
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{path}: node {k} is not an object")
+        missing = [key for key in ("id", "x", "y") if key not in entry]
+        if missing:
+            raise ValueError(f"{path}: node {k} lacks {', '.join(missing)}")
+        try:
+            node = SensorNode(
+                id=int(entry["id"]),
+                x=float(entry["x"]),
+                y=float(entry["y"]),
+                energy=float(entry.get("energy", 1.0)),
+                rate=float(entry.get("rate", 1.0)),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: node {k}: {exc}") from None
+        if not all(math.isfinite(v) for v in (node.x, node.y, node.energy, node.rate)):
+            raise ValueError(f"{path}: node {node.id} has a non-finite value")
+        nodes.append(node)
+    ids = [n.id for n in nodes]
+    if len(set(ids)) < len(ids):
+        duplicates = sorted({i for i in ids if ids.count(i) > 1})
+        raise ValueError(f"{path}: duplicate node ids {duplicates}")
+    if not any(n.is_sink for n in nodes):
+        raise ValueError(f"{path}: no sink (a node with a negative rate)")
+    return nodes
 
 
 def flow_solution_to_json(solution) -> str:

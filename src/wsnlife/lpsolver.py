@@ -1,10 +1,12 @@
-"""Dense two-phase tableau simplex for small equality-form LPs.
+"""Two-phase revised simplex for sparse equality-form LPs.
 
-Solves max c.x subject to A x = b, x >= 0.  Dantzig pricing with a
-permanent switch to Bland's rule once a degeneracy streak is
-detected, so termination is guaranteed and pivots are deterministic.
-An optimal basis that does not solve the original system to 1e-9
-(relative to the largest |b|) raises SimplexError.
+Solves max c.x subject to A x = b, x >= 0.  The basis inverse is kept
+explicitly (dense, one rank-1 update per pivot); A is read only through
+its nonzeros, so a pivot costs one sparse pricing product plus O(m^2).
+Dantzig pricing with a permanent switch to Bland's rule once a
+degeneracy streak is detected, so termination is guaranteed and pivots
+are deterministic.  An optimal basis that does not solve the original
+system to 1e-9 (relative to the largest |b|) raises SimplexError.
 """
 
 from __future__ import annotations
@@ -49,134 +51,126 @@ class LPSolution:
     x: np.ndarray
     objective: float
     status: str  # optimal | infeasible | unbounded
+    phase1_pivots: int = 0  # includes pivots driving artificials out
+    phase2_pivots: int = 0
+    bland: bool = False  # Bland's rule switched on in either phase
 
 
-def _choose_entering(obj_row: np.ndarray, ncols: int, bland: bool) -> int:
-    best = -1
-    if bland:
-        for j in range(ncols):
-            if obj_row[j] > _PIVOT_TOL:
-                return j
-        return -1
-    best_val = _PIVOT_TOL
-    for j in range(ncols):
-        if obj_row[j] > best_val:
-            best_val = obj_row[j]
-            best = j
-    return best
+class _Columns:
+    """A's nonzeros as (row, col, value) triplets sorted by column.
+    Column ids >= n are artificial unit columns e_(id - n).  Products
+    are elementwise sums, not BLAS calls, so results do not depend on
+    the BLAS thread count."""
+
+    def __init__(self, rows, cols, vals, n):
+        self.rows, self.cols, self.vals, self.n = rows, cols, vals, n
+        self.starts = np.searchsorted(cols, np.arange(n + 1))
+
+    def price(self, y: np.ndarray) -> np.ndarray:
+        """y A over the structural columns, then y itself for the artificials."""
+        return np.concatenate([np.bincount(self.cols, y[self.rows] * self.vals, self.n), y])
+
+    def column(self, binv: np.ndarray, j: int) -> np.ndarray:
+        """B^-1 times column j."""
+        if j >= self.n:
+            return binv[:, j - self.n].copy()
+        s, e = self.starts[j], self.starts[j + 1]
+        return (binv[:, self.rows[s:e]] * self.vals[s:e]).sum(axis=1)
 
 
-def _choose_leaving(tab: np.ndarray, col: int, basis: list[int], m: int) -> int:
-    best_row = -1
-    best_ratio = np.inf
-    for i in range(m):
-        a = tab[i, col]
-        if a > _PIVOT_TOL:
-            ratio = tab[i, -1] / a
-            if ratio < best_ratio - 1e-12 or (
-                abs(ratio - best_ratio) <= 1e-12
-                and (best_row < 0 or basis[i] < basis[best_row])
-            ):
-                best_ratio = ratio
-                best_row = i
+def _leaving_row(alpha: np.ndarray, x_b: np.ndarray, basis: np.ndarray) -> int:
+    """Minimum ratio over rows with alpha > tol; ties within 1e-12 go to
+    the lowest basic id."""
+    rows = (alpha > _PIVOT_TOL).nonzero()[0]
+    best_row, best_ratio, best_id = -1, np.inf, -1
+    for i, ratio, j in zip(rows.tolist(), (x_b[rows] / alpha[rows]).tolist(), basis[rows].tolist()):
+        if ratio < best_ratio - 1e-12 or (abs(ratio - best_ratio) <= 1e-12 and j < best_id):
+            best_row, best_ratio, best_id = i, ratio, j
     return best_row
 
 
-def _pivot(tab: np.ndarray, row: int, col: int, basis: list[int]) -> None:
-    tab[row, :] /= tab[row, col]
-    for i in range(tab.shape[0]):
-        if i != row and tab[i, col] != 0.0:
-            tab[i, :] -= tab[i, col] * tab[row, :]
+def _exchange(binv, x_b, basis, alpha, row, col) -> None:
+    """Rank-1 update of B^-1 and x_B for column col entering at row."""
+    pivot_row = binv[row] / alpha[row]
+    theta = x_b[row] / alpha[row]
+    binv -= np.outer(alpha, pivot_row)
+    binv[row] = pivot_row
+    x_b -= theta * alpha
+    x_b[row] = theta
     basis[row] = col
 
 
-def _run_simplex(
-    tab: np.ndarray, basis: list[int], ncols: int, max_iters: int
-) -> str:
-    """Iterate until optimal or unbounded.  tab's last row is the
-    reduced-cost row (positive entry = improving column), last column
-    the RHS."""
-    m = tab.shape[0] - 1
-    bland = False
-    degenerate_streak = 0
-    streak_limit = 2 * (m + ncols)
-    for _ in range(max_iters):
-        col = _choose_entering(tab[-1, :ncols], ncols, bland)
-        if col < 0:
-            return "optimal"
-        row = _choose_leaving(tab, col, basis, m)
+def _iterate(a: _Columns, cost, binv, x_b, basis, max_iters):
+    """Pivot until optimal or unbounded over the len(cost) priceable
+    columns; returns (status, pivots, bland)."""
+    streak_limit = 2 * (len(basis) + len(cost))
+    bland, degenerate_streak = False, 0
+    for pivots in range(max_iters):
+        c_b = cost[basis]
+        priced = c_b.nonzero()[0]  # y = c_B B^-1 over the rows with a cost
+        d = cost - a.price((c_b[priced, None] * binv[priced]).sum(axis=0))[: len(cost)]
+        improving = (d > _PIVOT_TOL).nonzero()[0]
+        if not improving.size:
+            return "optimal", pivots, bland
+        # Bland: first improving column; Dantzig: largest d, first on ties.
+        col = int(improving[0] if bland else improving[np.argmax(d[improving])])
+        alpha = a.column(binv, col)
+        row = _leaving_row(alpha, x_b, basis)
         if row < 0:
-            return "unbounded"
-        if tab[row, -1] / tab[row, col] <= 1e-12:
-            degenerate_streak += 1
-            if degenerate_streak > streak_limit:
-                bland = True
-        else:
-            degenerate_streak = 0
-        _pivot(tab, row, col, basis)
+            return "unbounded", pivots, bland
+        degenerate_streak = degenerate_streak + 1 if x_b[row] / alpha[row] <= 1e-12 else 0
+        bland = bland or degenerate_streak > streak_limit
+        _exchange(binv, x_b, basis, alpha, row, col)
     raise SimplexError(f"simplex did not terminate within {max_iters} pivots")
 
 
 def solve_lp(lp: StandardLP) -> LPSolution:
-    a = lp.a.copy()
-    b = lp.b.copy()
-    c = lp.c
-    m, n = a.shape
-    neg = b < 0
-    a[neg] *= -1.0
-    b[neg] *= -1.0
+    m, n = lp.a.shape
+    cols, rows = np.nonzero(lp.a.T)
+    vals = lp.a[rows, cols]
+    vals[lp.b[rows] < 0] *= -1.0
+    b = np.abs(lp.b)
     max_iters = max(200, 50 * (m + n))
 
     # Phase 1: artificial basis, maximize -(sum of artificials).
-    tab = np.zeros((m + 1, n + m + 1))
-    tab[:m, :n] = a
-    tab[:m, n : n + m] = np.eye(m)
-    tab[:m, -1] = b
-    tab[-1, : n + m] = tab[:m, : n + m].sum(axis=0)
-    tab[-1, n : n + m] = 0.0
-    tab[-1, -1] = b.sum()
-    basis = list(range(n, n + m))
-    status = _run_simplex(tab, basis, n + m, max_iters)
+    a = _Columns(rows, cols, vals, n)
+    binv, x_b, basis = np.eye(m), b.copy(), np.arange(n, n + m)
+    cost = np.concatenate([np.zeros(n), -np.ones(m)])
+    status, pivots1, bland1 = _iterate(a, cost, binv, x_b, basis, max_iters)
     if status != "optimal":
         raise SimplexError("phase 1 reported unbounded (internal bug)")
-    if tab[-1, -1] > 1e-7 * (1.0 + abs(b).max(initial=0.0)):
-        return LPSolution(x=np.zeros(n), objective=float("nan"), status="infeasible")
+    if x_b[basis >= n].sum() > 1e-7 * (1.0 + b.max(initial=0.0)):
+        return LPSolution(np.zeros(n), float("nan"), "infeasible", pivots1, 0, bland1)
 
     # Drive remaining artificials out of the basis or drop their rows.
-    keep = []
-    for i in range(m):
-        if basis[i] >= n:
-            pivot_col = -1
-            for j in range(n):
-                if abs(tab[i, j]) > _PIVOT_TOL:
-                    pivot_col = j
-                    break
-            if pivot_col >= 0:
-                _pivot(tab, i, pivot_col, basis)
-                keep.append(i)
-            # else: redundant row, dropped below
+    # An artificial e_k left basic at position i makes row i of B^-1 A a
+    # dependency with weight 1 on constraint k, so constraint k goes.
+    keep = np.ones(m, dtype=bool)
+    for i in np.flatnonzero(basis >= n).tolist():
+        big = np.flatnonzero(np.abs(a.price(binv[i])[:n]) > _PIVOT_TOL)
+        if big.size:
+            _exchange(binv, x_b, basis, a.column(binv, int(big[0])), i, int(big[0]))
+            pivots1 += 1
         else:
-            keep.append(i)
-    rows = keep + [m]
-    tab = tab[np.ix_(rows, list(range(n)) + [n + m])]
-    basis = [basis[i] for i in keep]
-    m2 = len(basis)
-
-    # Phase 2 objective row: reduced costs of the original objective.
-    cb = c[basis]
-    tab[-1, :n] = c - cb @ tab[:m2, :n]
-    tab[-1, -1] = cb @ tab[:m2, -1]
-    status = _run_simplex(tab, basis, n, max_iters)
+            keep[basis[i] - n] = False
+    if not keep.all():  # refactorize the kept basis on the kept rows
+        kept = keep[rows]
+        a = _Columns((np.cumsum(keep) - 1)[rows[kept]], cols[kept], vals[kept], n)
+        basis, b = basis[basis < n], b[keep]
+        sign = np.where(lp.b[keep] < 0, -1.0, 1.0)
+        binv = np.linalg.inv(sign[:, None] * lp.a[np.ix_(keep, basis)])
+        x_b = binv @ b
+    status, pivots2, bland2 = _iterate(a, lp.c, binv, x_b, basis, max_iters)
+    counters = dict(phase1_pivots=pivots1, phase2_pivots=pivots2, bland=bland1 or bland2)
     if status == "unbounded":
-        return LPSolution(x=np.zeros(n), objective=float("inf"), status="unbounded")
+        return LPSolution(x=np.zeros(n), objective=float("inf"), status="unbounded", **counters)
 
     x = np.zeros(n)
-    for i, j in enumerate(basis):
-        x[j] = tab[i, -1]
+    x[basis] = x_b
     x[np.abs(x) < 1e-12] = 0.0
-    # The tableau is pivoted in place through both phases, so rounding
-    # can leave a basis that no longer solves the original system.
+    # B^-1 is updated in place through both phases, so rounding can
+    # leave a basis that no longer solves the original system.
     violation = max(np.abs(lp.a @ x - lp.b).max(initial=0.0), -x.min(initial=0.0))
     if violation > 1e-9 * (1.0 + np.abs(lp.b).max(initial=0.0)):
         raise SimplexError(f"final basis violates A x = b, x >= 0 by {violation:.3g}")
-    return LPSolution(x=x, objective=float(c @ x), status="optimal")
+    return LPSolution(x=x, objective=float(lp.c @ x), status="optimal", **counters)

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +44,34 @@ class TestTopology:
         harness.save_topology(nodes, str(path))
         loaded = harness.load_topology(str(path))
         assert loaded == nodes
+
+    @pytest.mark.parametrize(
+        "nodes, message",
+        [
+            ([{"id": 0, "x": 0, "y": 0, "rate": -1}, {"id": 0, "x": 1, "y": 0}], "duplicate node ids"),
+            ([{"id": 0, "x": 0, "y": 0, "rate": -1}, {"id": 1, "x": 1}], "node 1 lacks y"),
+            ([{"x": 0, "y": 0, "rate": -1}], "node 0 lacks id"),
+            ([{"id": 0, "x": 0, "y": 0, "rate": -1}, {"id": 1, "x": "NaN", "y": 0}], "non-finite"),
+            ([{"id": 0, "x": 0, "y": 0, "rate": -1}, {"id": 1, "x": 1e999, "y": 0}], "non-finite"),
+            ([{"id": 0, "x": 0, "y": None, "rate": -1}], "node 0"),
+            ([{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 1, "y": 0}], "no sink"),
+            ([5], "node 0 is not an object"),
+        ],
+    )
+    def test_malformed_file_rejected(self, tmp_path, capsys, nodes, message):
+        path = tmp_path / "topo.json"
+        path.write_text(json.dumps({"nodes": nodes}))
+        with pytest.raises(ValueError, match=message):
+            harness.load_topology(str(path))
+        assert cli.main(["lp", "--topology", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+    def test_missing_node_list_rejected(self, tmp_path):
+        path = tmp_path / "topo.json"
+        path.write_text(json.dumps([{"id": 0, "x": 0, "y": 0}]))
+        with pytest.raises(ValueError, match="'nodes' list"):
+            harness.load_topology(str(path))
 
 
 class TestResultTable:
@@ -147,6 +177,45 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "# trials=50" in out
+
+    def test_config_values_use_flag_types(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": "100", "radius": [30]}))
+        assert cli.main(["--config", str(cfg), "gain", "ct"]) == 0
+        assert "# trials=100" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"trials": "many"}, "config key 'trials': invalid value 'many'"),
+            ({"trials": 2.5}, "config key 'trials': invalid value 2.5"),
+            ({"kind": "xx"}, "config key 'kind': 'xx' is not one of ['cb', 'ct']"),
+            ({"radius": 20}, "config key 'radius' expects a list, got 20"),
+            ({"radius": []}, "config key 'radius' expects a list, got []"),
+            ({"n": [3]}, "config key 'n' expects one value, got [3]"),
+            ({"command": "disk"}, "unknown config key 'command'"),
+        ],
+    )
+    def test_bad_config_value_is_a_usage_error(self, tmp_path, capsys, override, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(override))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--config", str(cfg), "gain", "ct"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"wsnlife: error: {message}"
+
+    def test_readme_examples_parse(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        commands = [shlex.split(line) for line in readme.splitlines() if line.startswith("wsnlife ")]
+        assert len(commands) == 8 and sum("--out" in c for c in commands) == 5
+        parser = cli.build_parser()
+        for command in commands:
+            parser.parse_args(command[1:])
+
+    def test_readme_form_with_global_out(self, tmp_path):
+        out = tmp_path / "disk.csv"
+        assert cli.main(["--out", str(out), "disk", "--b0", "2", "--grid", "20"]) == 0
+        assert "saving_percent" in out.read_text()
 
     def test_bad_topology_path(self):
         rc = cli.main(["lp", "--topology", "/nonexistent/x.json"])

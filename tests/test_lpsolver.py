@@ -115,16 +115,80 @@ class TestSolveLp:
             StandardLP(a=[[1.0, 2.0]], b=[1.0, 2.0], c=[1.0, 0.0])
 
     def test_wrong_final_basis_raises(self, monkeypatch):
-        # A tableau whose RHS drifted during pivoting yields a basis that
-        # no longer solves A x = b; it must not be reported optimal.
-        run = lpsolver._run_simplex
+        # A basic solution that drifted during the B^-1 updates no
+        # longer solves A x = b; it must not be reported optimal.
+        iterate = lpsolver._iterate
 
-        def drifting(tab, basis, ncols, max_iters):
-            status = run(tab, basis, ncols, max_iters)
-            tab[0, -1] += 1e-6
-            return status
+        def drifting(a, cost, binv, x_b, basis, max_iters):
+            result = iterate(a, cost, binv, x_b, basis, max_iters)
+            x_b[0] += 1e-6
+            return result
 
-        monkeypatch.setattr(lpsolver, "_run_simplex", drifting)
+        monkeypatch.setattr(lpsolver, "_iterate", drifting)
         lp = StandardLP(a=[[1.0, 1.0]], b=[5.0], c=[1.0, 0.0])
         with pytest.raises(SimplexError, match="violates"):
             solve_lp(lp)
+
+    def test_redundant_rows_dropped(self):
+        # Appending combinations of existing rows leaves the LP unchanged.
+        rng = np.random.default_rng(3)
+        for trial in range(10):
+            lp = random_feasible_lp(rng, 3, 6)
+            w = rng.normal(size=(2, lp.a.shape[0]))
+            padded = StandardLP(a=np.vstack([w @ lp.a, lp.a]), b=np.append(w @ lp.b, lp.b), c=lp.c)
+            sol = solve_lp(padded)
+            assert sol.status == "optimal", trial
+            assert sol.objective == pytest.approx(solve_lp(lp).objective, abs=1e-9), trial
+
+    def test_redundant_row_dropped_is_the_dependent_one(self):
+        # Rows 1 and 2 are equal.  Phase 1 ends with row 1's artificial
+        # basic at basis position 4; dropping constraint 4 (the bound)
+        # instead of row 1 would leave a singular basis.
+        lp = StandardLP(
+            a=[[2, -2, 0, 0], [0, 1, -1, 0], [0, 1, -1, 0], [0, 1, -2, 0], [1, 1, 1, 1]],
+            b=[2, -1, -1, -2, 4],
+            c=[2, 1, 0, 0],
+        )
+        sol = solve_lp(lp)
+        assert sol.status == "optimal"
+        assert sol.x.tolist() == pytest.approx([1.0, 0.0, 1.0, 2.0], abs=1e-12)
+
+
+class TestCounters:
+    def test_simple_cap_counts(self):
+        # x enters the all-artificial basis once and is already optimal.
+        sol = solve_lp(StandardLP(a=[[1.0, 1.0]], b=[5.0], c=[1.0, 0.0]))
+        assert (sol.phase1_pivots, sol.phase2_pivots, sol.bland) == (1, 0, False)
+
+    def test_counters_add_up_to_basis_exchanges(self, monkeypatch):
+        exchange = lpsolver._exchange
+        calls = []
+        monkeypatch.setattr(
+            lpsolver, "_exchange", lambda *args: calls.append(args[-1]) or exchange(*args)
+        )
+        lp = random_feasible_lp(np.random.default_rng(5), 4, 9)
+        sol = solve_lp(lp)
+        assert sol.phase1_pivots > 0 and sol.phase2_pivots > 0
+        assert sol.phase1_pivots + sol.phase2_pivots == len(calls)
+
+    def test_cycling_lp_switches_to_bland(self):
+        # Phase 1 of this LP is the cycling example of Bertsimas &
+        # Tsitsiklis (Example 3.6): the column sums are its objective
+        # (3/4, -20, 1/2, -6) and the artificials of rows 1-2 are its
+        # slacks.  Dantzig pricing cycles through degenerate pivots until
+        # the streak limit 2 (m + n + m) = 32 turns Bland's rule on.
+        lp = StandardLP(
+            a=[
+                [0.25, -8.0, -1.0, 9.0, 0.1, 0.0, 0.0, 0.0],
+                [0.5, -12.0, -0.5, 3.0, 0.0, 0.1, 0.0, 0.0],
+                [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.1, 0.0],
+                [0.0, 0.0, 1.0, -18.0, 0.0, 0.0, 0.0, 0.1],
+            ],
+            b=[0.0, 0.0, 1.0, 100.0],
+            c=[0.75, -20.0, 0.5, -6.0, 0.0, 0.0, 0.0, 0.0],
+        )
+        sol = solve_lp(lp)
+        assert sol.bland
+        assert sol.phase1_pivots > 32
+        assert sol.objective == pytest.approx(enumerate_vertices(lp), abs=1e-9)
+        assert sol.objective == pytest.approx(1.25, abs=1e-9)
