@@ -18,25 +18,30 @@ from .routing import CostParams, NoRouteError, build_links, simulate_dynamic, so
 
 
 def _phy_from_args(args) -> "harness.PhyParams":
+    """The PhyParams defaults, overridden by each physical-layer flag
+    that was given."""
+    given = {
+        "power": (args.power_dbm, harness.dbm_to_watts),
+        "noise": (args.noise_dbm, harness.dbm_to_watts),
+        "alpha": (args.alpha, float),
+        "snr_min": (args.snr_db, harness.db_to_linear),
+        "wavelength": (args.wavelength, float),
+        "density": (args.density, float),
+        "packet_len": (args.packet_len, int),
+    }
     return harness.default_phy(
-        power=harness.dbm_to_watts(args.power_dbm),
-        noise=harness.dbm_to_watts(args.noise_dbm),
-        alpha=args.alpha,
-        snr_min=harness.db_to_linear(args.snr_db),
-        wavelength=args.wavelength,
-        density=args.density,
-        packet_len=args.packet_len,
+        **{name: convert(value) for name, (value, convert) in given.items() if value is not None}
     )
 
 
 def _add_phy_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--power-dbm", type=float, default=10.0)
-    p.add_argument("--noise-dbm", type=float, default=-70.0)
-    p.add_argument("--alpha", type=float, default=4.0)
-    p.add_argument("--snr-db", type=float, default=10.0)
-    p.add_argument("--wavelength", type=float, default=0.1)
-    p.add_argument("--density", type=float, default=1.0)
-    p.add_argument("--packet-len", type=int, default=100)
+    p.add_argument("--power-dbm", type=float)
+    p.add_argument("--noise-dbm", type=float)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--snr-db", type=float)
+    p.add_argument("--wavelength", type=float)
+    p.add_argument("--density", type=float)
+    p.add_argument("--packet-len", type=int)
 
 
 def _emit(text: str, out: str | None) -> None:

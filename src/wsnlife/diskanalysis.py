@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .gainmodels import PhyParams, invert_cluster_size
-from .numerics import Tolerance
 
 __all__ = [
     "DiskScenario",
@@ -26,6 +25,10 @@ __all__ = [
     "pure_bypass_profile",
     "saving_percent",
 ]
+
+# Relative slack on the temperature when a ring's load is tested
+# against it.
+_FEASIBILITY_REL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -132,7 +135,6 @@ def _feasibility_sweep(
     kappa: float,
     scenario: DiskScenario,
     cluster_sizes: Sequence[int],
-    tol: Tolerance,
 ) -> tuple[bool, list[float], list[float]]:
     """Outermost-to-innermost greedy sweep: give every ring the largest
     bypass probability that keeps it at or below the temperature."""
@@ -148,14 +150,12 @@ def _feasibility_sweep(
         if nc > 1:
             p_r[idx] = min(max((kappa / load - 1.0) / (nc - 1.0), 0.0), 1.0)
         n_joint[idx] = (1.0 - p_r[idx] + nc * p_r[idx]) * load
-        if load > kappa * (1.0 + tol.rel):
+        if load > kappa * (1.0 + _FEASIBILITY_REL):
             feasible = False
     return feasible, p_r, n_joint
 
 
-def optimize_bypass(
-    scenario: DiskScenario, tol: Tolerance = Tolerance(rel=1e-9)
-) -> BypassProfile:
+def optimize_bypass(scenario: DiskScenario) -> BypassProfile:
     """Minimize the worst-ring transmission count over bypass
     probabilities, by bisection on the temperature."""
     rings = scenario.rings()
@@ -163,15 +163,15 @@ def optimize_bypass(
     n_pf = [npf(b, scenario) for b in rings]
     lo, hi = 1.0, max(n_pf)
     width_target = 1e-6 * hi
-    if not _feasibility_sweep(hi, scenario, cluster_sizes, tol)[0]:
+    if not _feasibility_sweep(hi, scenario, cluster_sizes)[0]:
         raise RuntimeError("pure forwarding temperature infeasible (internal bug)")
     while hi - lo > width_target:
         mid = 0.5 * (lo + hi)
-        if _feasibility_sweep(mid, scenario, cluster_sizes, tol)[0]:
+        if _feasibility_sweep(mid, scenario, cluster_sizes)[0]:
             hi = mid
         else:
             lo = mid
-    _, p_r, n_joint = _feasibility_sweep(hi, scenario, cluster_sizes, tol)
+    _, p_r, n_joint = _feasibility_sweep(hi, scenario, cluster_sizes)
     return BypassProfile(
         rings=tuple(rings),
         p_r=tuple(p_r),

@@ -14,6 +14,8 @@ from .numerics import Hyp2F1Args, hyp2f1_terminating
 
 __all__ = [
     "MU",
+    "dbm_to_watts",
+    "db_to_linear",
     "PhyParams",
     "ClusterGeometry",
     "GainEstimate",
@@ -29,10 +31,13 @@ __all__ = [
 # Constant in the CB directivity lower bound N / (1 + MU * N * lambda / R).
 MU = 0.09332
 
-# Trials per chunk in the Monte Carlo loops; fixed so that results are
+# Trials per chunk in the CT Monte Carlo loop; fixed so that results are
 # reproducible for a given seed independent of the total trial count's
 # batching.
 _CHUNK = 16384
+
+# Azimuth grid of the CB Monte Carlo beampattern average.
+_N_PHI = 2048
 
 
 class ApproximationDomainError(ValueError):
@@ -44,23 +49,33 @@ class UnreachableGainError(ValueError):
     """No admissible cluster size achieves the requested gain."""
 
 
+def dbm_to_watts(dbm: float) -> float:
+    return 10.0 ** (dbm / 10.0) / 1000.0
+
+
+def db_to_linear(db: float) -> float:
+    return 10.0 ** (db / 10.0)
+
+
 @dataclass(frozen=True)
 class PhyParams:
     """Physical-layer parameters shared by all gain formulas.
 
     power/noise are in watts (linear), snr_min is a linear ratio,
     wavelength in meters, density in nodes per square meter and
-    packet_len in symbols.
+    packet_len in symbols.  The defaults are the simulation's: 10 dBm
+    transmit power, -70 dBm noise, path-loss exponent 4 and a 10 dB
+    minimum link SNR.
     """
 
-    power: float = 0.01
-    noise: float = 1e-10
+    power: float = dbm_to_watts(10.0)
+    noise: float = dbm_to_watts(-70.0)
     c0: float = 1.0
     alpha: float = 4.0
     wavelength: float = 0.1
     density: float = 1.0
     packet_len: int = 100
-    snr_min: float = 10.0
+    snr_min: float = db_to_linear(10.0)
 
     def __post_init__(self):
         if self.power <= 0 or self.noise <= 0 or self.c0 <= 0:
@@ -119,7 +134,7 @@ def cb_gain_bound(geom: ClusterGeometry, phy: PhyParams) -> GainEstimate:
 
 
 def cb_gain_monte_carlo(
-    geom: ClusterGeometry, phy: PhyParams, trials: int, seed: int, n_phi: int = 2048
+    geom: ClusterGeometry, phy: PhyParams, trials: int, seed: int
 ) -> GainEstimate:
     """Average directivity of random disk arrays by direct beampattern
     integration.
@@ -134,22 +149,20 @@ def cb_gain_monte_carlo(
     if n == 1:
         return GainEstimate(value=1.0, mode="monte-carlo", stderr=0.0)
     rng = np.random.default_rng(seed)
-    phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
+    phi = np.linspace(0.0, 2.0 * np.pi, _N_PHI, endpoint=False)
     sin_half = np.sin(phi / 2.0)[:, None]
     half_phi = (phi / 2.0)[:, None]
     total = 0.0
     total_sq = 0.0
-    for start in range(0, trials, _CHUNK):
-        count = min(_CHUNK, trials - start)
-        for _ in range(count):
-            r = r_disk * np.sqrt(rng.random(n))
-            psi = rng.random(n) * 2.0 * np.pi
-            # compensated phase at observation angle phi
-            arg = -(4.0 * np.pi / lam) * sin_half * (r[None, :] * np.sin(psi[None, :] - half_phi))
-            pattern = np.abs(np.exp(1j * arg).mean(axis=1)) ** 2
-            d = 1.0 / pattern.mean()
-            total += d
-            total_sq += d * d
+    for _ in range(trials):
+        r = r_disk * np.sqrt(rng.random(n))
+        psi = rng.random(n) * 2.0 * np.pi
+        # compensated phase at observation angle phi
+        arg = -(4.0 * np.pi / lam) * sin_half * (r[None, :] * np.sin(psi[None, :] - half_phi))
+        pattern = np.abs(np.exp(1j * arg).mean(axis=1)) ** 2
+        d = 1.0 / pattern.mean()
+        total += d
+        total_sq += d * d
     mean = total / trials
     if trials > 1:
         var = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
@@ -246,7 +259,7 @@ def invert_cluster_size(
             geom = ClusterGeometry(n=n, r_disk=r, dist=2.0 * r + 1.0)
             try:
                 return ct_gain_closed_form(geom, phy).value
-            except ApproximationDomainError as exc:
+            except ValueError as exc:  # z > 1, or (1-z)^L underflows just below
                 raise UnreachableGainError(
                     f"gain {required_gain} drives the CT closed form out of its "
                     f"approximation domain at n={n}"

@@ -21,6 +21,8 @@ from .gainmodels import (
     cb_gain_monte_carlo,
     ct_gain_closed_form,
     ct_gain_monte_carlo,
+    db_to_linear,
+    dbm_to_watts,
 )
 from .routing import (
     NoRouteError,
@@ -47,25 +49,9 @@ __all__ = [
 ]
 
 
-def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** (dbm / 10.0) / 1000.0
-
-
-def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
-
-
 def default_phy(**overrides) -> PhyParams:
-    """Simulation defaults: 10 dBm transmit power, -70 dBm noise,
-    path-loss exponent 4, 10 dB minimum link SNR."""
-    params = dict(
-        power=dbm_to_watts(10.0),
-        noise=dbm_to_watts(-70.0),
-        alpha=4.0,
-        snr_min=db_to_linear(10.0),
-    )
-    params.update(overrides)
-    return PhyParams(**params)
+    """The PhyParams defaults with the given fields overridden."""
+    return PhyParams(**overrides)
 
 
 @dataclass

@@ -6,27 +6,17 @@ Everything here is a pure function over 64-bit floats.
 
 from __future__ import annotations
 
-import warnings
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 __all__ = [
     "Tolerance",
     "Hyp2F1Args",
-    "CancellationWarning",
     "ConvergenceError",
     "hyp2f1_terminating",
     "integrate_1d",
 ]
-
-# Guard on sum(|term|)/|result| before warning the caller that the
-# alternating series has lost too many digits to cancellation.
-CANCELLATION_RATIO = 1e8
-
-
-class CancellationWarning(UserWarning):
-    """Severe cancellation in a finite alternating sum; the caller
-    should fall back to the integral form."""
 
 
 class ConvergenceError(RuntimeError):
@@ -69,33 +59,24 @@ class Hyp2F1Args:
 def hyp2f1_terminating(args: Hyp2F1Args) -> float:
     """Evaluate 2F1(a, -L; c; z) as its exact finite sum.
 
-    Terms are accumulated with Kahan compensation.  Emits a
-    CancellationWarning when sum(|term|) dwarfs the result.
+    For 0 < z <= 1 the sum is taken in the Pfaff form
+    (1-z)^L * 2F1(c-a, -L; c; z/(z-1)) (DLMF 15.8.1), whose terms all
+    have one sign when c > a > 0, so no digits are lost to
+    cancellation.  Raises ValueError where the scale (1-z)^L
+    underflows.
     """
     a, L, c, z = args.a, args.L, args.c, args.z
-    total = 0.0
-    comp = 0.0
-    abs_total = 0.0
-    term = 1.0
-    for n in range(L + 1):
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        abs_total += abs(term)
-        if n < L:
-            denom = (c + n) * (n + 1)
-            if denom == 0.0:
-                raise ValueError(f"c={c} hits a zero Pochhammer factor at n={n + 1}")
-            term *= (a + n) * (-L + n) / denom * z
-    if total != 0.0 and abs_total / abs(total) > CANCELLATION_RATIO:
-        warnings.warn(
-            f"cancellation ratio {abs_total / abs(total):.3g} in terminating 2F1; "
-            "use the quadrature oracle instead",
-            CancellationWarning,
-            stacklevel=2,
-        )
-    return total
+    scale = 1.0
+    if 0.0 < z <= 1.0 and L:
+        scale = (1.0 - z) ** L
+        if scale < sys.float_info.min:
+            raise ValueError(f"(1-z)^L underflows at z={z}, L={L}")
+        a, z = c - a, z / (z - 1.0)
+    total = term = 1.0
+    for n in range(L):
+        term *= (a + n) * (n - L) / ((c + n) * (n + 1)) * z
+        total += term
+    return scale * total
 
 
 def _simpson(f: Callable[[float], float], a: float, fa: float, b: float, fb: float):

@@ -10,7 +10,6 @@ from wsnlife.diskanalysis import (
     pure_bypass_profile,
     saving_percent,
 )
-from wsnlife.numerics import Tolerance
 
 
 class TestNpf:

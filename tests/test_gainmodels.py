@@ -6,6 +6,7 @@ from wsnlife.gainmodels import (
     MU,
     ApproximationDomainError,
     ClusterGeometry,
+    UnreachableGainError,
     PhyParams,
     cb_gain_bound,
     cb_gain_monte_carlo,
@@ -13,6 +14,8 @@ from wsnlife.gainmodels import (
     ct_gain_monte_carlo,
     invert_cluster_size,
 )
+
+from test_numerics import hyp2f1_direct
 
 
 class TestCbBound:
@@ -93,12 +96,20 @@ class TestCtClosedForm:
 
     def test_bounds_and_monotonicity(self):
         phy = PhyParams()
+        radii = (10, 30, 50, 70, 90, 100, 110, 120)
         vals = [
             ct_gain_closed_form(ClusterGeometry(n=10, r_disk=r, dist=1000.0), phy).value
-            for r in (10, 30, 50, 70, 90)
+            for r in radii
         ]
         assert all(1.0 <= v <= 10.0 for v in vals)
         assert all(b < a for a, b in zip(vals, vals[1:]))
+        # exact rational sum of the series at the same float argument
+        for r, v in zip(radii, vals):
+            z = phy.noise * float(r) ** phy.alpha / (4.0 * phy.power)
+            exact = 1.0 + 9.0 * hyp2f1_direct(0.5, phy.packet_len, 1.5, z)
+            assert v == pytest.approx(exact, rel=1e-12), r
+        assert vals[-2] == pytest.approx(2.3134358906745, rel=1e-12)
+        assert vals[-1] == pytest.approx(2.1036509914696, rel=1e-12)
         powers = [
             ct_gain_closed_form(
                 ClusterGeometry(n=10, r_disk=60.0, dist=1000.0), PhyParams(power=p)
@@ -176,6 +187,14 @@ class TestInvertClusterSize:
             assert n >= c0
             if c0 != int(c0):
                 assert n - 1 < c0
+
+    def test_ct_underflow_band_is_unreachable(self):
+        # density chosen so the doubling search lands on n = 1024 at
+        # z = 0.9995, where (1-z)^L underflows
+        base = PhyParams()
+        density = 1024 / (math.pi * math.sqrt(0.9995 * 4.0 * base.power / base.noise))
+        with pytest.raises(UnreachableGainError):
+            invert_cluster_size(1e4, "ct", PhyParams(density=density))
 
     def test_ct_is_minimal(self):
         phy = PhyParams(density=0.05)

@@ -165,10 +165,12 @@ class TestCli:
         assert header.split(",")[0] == "b0_over_a0"
 
     def test_gain_csv(self, capsys):
-        rc = cli.main(["--seed", "1", "gain", "ct", "--radius", "30", "--trials", "100"])
+        rc = cli.main(["--seed", "1", "gain", "ct", "--radius", "30", "120", "--trials", "100"])
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "closed_form" in out
+        lines = capsys.readouterr().out.splitlines()
+        header, *rows = [l.split(",") for l in lines if not l.startswith("#")]
+        closed_form = float(rows[1][header.index("closed_form")])
+        assert closed_form == pytest.approx(2.10365, rel=1e-5)
 
     def test_config_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

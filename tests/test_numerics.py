@@ -1,12 +1,11 @@
 import math
-import warnings
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsnlife.numerics import (
-    CancellationWarning,
     Hyp2F1Args,
     Tolerance,
     hyp2f1_terminating,
@@ -15,14 +14,13 @@ from wsnlife.numerics import (
 
 
 def hyp2f1_direct(a, L, c, z):
-    """Independent oracle: direct high-precision term-by-term sum."""
-    from fractions import Fraction
-
+    """Independent oracle: the original alternating series summed term
+    by term in exact rational arithmetic from the float arguments."""
     total = Fraction(0)
     for n in range(L + 1):
         num = Fraction(1)
         for k in range(n):
-            num *= Fraction(a + k) * Fraction(-L + k) / Fraction(c + k)
+            num *= (Fraction(a) + k) * (k - L) / (Fraction(c) + k)
         total += num * Fraction(z) ** n / math.factorial(n)
     return float(total)
 
@@ -45,26 +43,24 @@ class TestHyp2F1:
     @pytest.mark.parametrize("L", [1, 10, 100])
     def test_matches_direct_sum(self, alpha, L):
         a, c = 2.0 / alpha, (alpha + 2.0) / alpha
-        # the series alternates, so at large L roundoff amplified by the
-        # cancellation ratio caps the achievable accuracy; points past
-        # the implementation's own cancellation guard are skipped
-        rel = 1e-12 if L <= 10 else 1e-9
         for z in (0.05, 0.2, 0.4):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                got = hyp2f1_terminating(Hyp2F1Args(a=a, L=L, c=c, z=z))
-            if any(issubclass(w.category, CancellationWarning) for w in caught):
-                continue
-            assert got == pytest.approx(hyp2f1_direct(a, L, c, z), rel=rel)
+            got = hyp2f1_terminating(Hyp2F1Args(a=a, L=L, c=c, z=z))
+            assert got == pytest.approx(hyp2f1_direct(a, L, c, z), rel=1e-12)
 
     def test_invalid_c_rejected(self):
         with pytest.raises(ValueError):
             Hyp2F1Args(a=0.5, L=3, c=-1.0, z=0.1)
 
-    def test_cancellation_warning(self):
-        # Large z * L drives sum(|term|)/|result| past the guard.
-        with pytest.warns(CancellationWarning):
+    def test_underflowing_scale_raises(self):
+        # (1 - 0.9)^400 is below the smallest normal float
+        with pytest.raises(ValueError, match="underflows"):
             hyp2f1_terminating(Hyp2F1Args(a=0.5, L=400, c=1.5, z=0.9))
+        with pytest.raises(ValueError, match="underflows"):
+            hyp2f1_terminating(Hyp2F1Args(a=0.5, L=100, c=1.5, z=1.0))
+
+    def test_large_L_in_range(self):
+        got = hyp2f1_terminating(Hyp2F1Args(a=0.5, L=400, c=1.5, z=0.5))
+        assert got == pytest.approx(hyp2f1_direct(0.5, 400, 1.5, 0.5), rel=1e-12)
 
     @given(
         a=st.floats(0.1, 5.0),
