@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .gainmodels import PhyParams, invert_cluster_size
+from .gainmodels import PhyParams, UnreachableGainError, invert_cluster_size
 
 __all__ = [
     "DiskScenario",
@@ -68,8 +68,8 @@ class BypassProfile:
     def __post_init__(self):
         if not all(0.0 <= p <= 1.0 for p in self.p_r):
             raise ValueError("bypass probabilities must lie in [0, 1]")
-        if any(n < 1 for n in self.n_cluster):
-            raise ValueError("cluster sizes must be at least 1")
+        if any(n < 0 for n in self.n_cluster):
+            raise ValueError("cluster sizes must be nonnegative (0: unreachable)")
 
     def max_n_joint(self) -> float:
         return max(self.n_joint)
@@ -89,11 +89,15 @@ def npf(b: float, scenario: DiskScenario) -> float:
 
 
 def cluster_size_for_ring(b: float, scenario: DiskScenario) -> int:
-    """Cluster size needed at radius b to reach the sink in one shot."""
+    """Cluster size needed at radius b to reach the sink in one shot,
+    or 0 where the mode's gain model cannot reach it (the ring forwards)."""
     if b <= 0 or b > scenario.b0:
         raise ValueError("radius must lie in (0, b0]")
     target = max(b / scenario.a0, 1.0) ** scenario.phy.alpha
-    return invert_cluster_size(target, scenario.mode, scenario.phy)
+    try:
+        return invert_cluster_size(target, scenario.mode, scenario.phy)
+    except UnreachableGainError:
+        return 0
 
 
 def _load(b: float, p_r: Sequence[float], scenario: DiskScenario) -> float:
@@ -184,10 +188,10 @@ def optimize_bypass(scenario: DiskScenario) -> BypassProfile:
 
 def pure_bypass_profile(scenario: DiskScenario) -> BypassProfile:
     """Profile of the pure CB/CT scheme: every node clusters straight
-    to the sink (bypass probability one everywhere)."""
+    to the sink, except on unreachable rings (cluster size 0), which forward."""
     rings = scenario.rings()
     cluster_sizes = [cluster_size_for_ring(b, scenario) for b in rings]
-    p_r = [1.0] * len(rings)
+    p_r = [1.0 if nc else 0.0 for nc in cluster_sizes]
     n_joint = njoint_profile(p_r, scenario, cluster_sizes)
     n_pf = [npf(b, scenario) for b in rings]
     return BypassProfile(

@@ -39,6 +39,9 @@ _CHUNK = 16384
 # Azimuth grid of the CB Monte Carlo beampattern average.
 _N_PHI = 2048
 
+# Largest cluster size the CT search in invert_cluster_size tries.
+_N_MAX = 10**6
+
 
 class ApproximationDomainError(ValueError):
     """Inputs fall outside the validity region of a closed-form
@@ -232,9 +235,7 @@ def ct_gain_monte_carlo(
     return GainEstimate(value=mean, mode="monte-carlo", stderr=stderr)
 
 
-def invert_cluster_size(
-    required_gain: float, mode: str, phy: PhyParams, n_max: int = 10**6
-) -> int:
+def invert_cluster_size(required_gain: float, mode: str, phy: PhyParams) -> int:
     """Smallest cluster size whose gain model reaches required_gain.
 
     ideal: ceil of the gain (density-limit D_av/N -> 1).
@@ -269,9 +270,9 @@ def invert_cluster_size(
         while gain(hi) < required_gain:
             lo = hi
             hi *= 2
-            if hi > n_max:
+            if hi > _N_MAX:
                 raise UnreachableGainError(
-                    f"no cluster of size <= {n_max} reaches gain {required_gain}"
+                    f"no cluster of size <= {_N_MAX} reaches gain {required_gain}"
                 )
         while hi - lo > 1:
             mid = (lo + hi) // 2

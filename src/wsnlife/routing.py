@@ -208,43 +208,30 @@ def solve_lifetime_lp(
     )
 
 
-def dynamic_cost(
-    i: int,
-    j: int,
-    links: LinkSet,
-    params: CostParams,
-    initial: dict[int, float],
-    remaining: dict[int, float],
-) -> float:
-    """Inverse-barrier link cost: grows without bound as the remaining
-    energy of the transmitter or any helper runs out."""
-    if (i, j) in links.direct:
-        helpers: tuple[int, ...] = ()
-    elif (i, j) in links.coop:
-        helpers = links.coop[(i, j)]
-    else:
-        raise NoRouteError(f"no link {i} -> {j}")
-    if remaining[i] < 1.0 or any(remaining[h] < 1.0 for h in helpers):
+def dynamic_cost(initial: float, remaining: float, beta: float) -> float:
+    """One node's inverse-barrier cost term (initial/remaining)**beta;
+    infinite once less than one unit of energy remains.
+
+    A link costs its transmitter's term at beta1 plus each helper's
+    term at beta2, so it grows without bound as any of them runs out.
+    """
+    if remaining < 1.0:
         return math.inf
-    cost = (initial[i] / remaining[i]) ** params.beta1
-    for h in helpers:
-        cost += (initial[h] / remaining[h]) ** params.beta2
-    return cost
+    return (initial / remaining) ** beta
 
 
 def _least_cost_path(
     src: int,
     sinks: set[int],
-    nodes_by_id: dict[int, SensorNode],
-    links: LinkSet,
-    params: CostParams,
-    initial: dict[int, float],
-    remaining: dict[int, float],
-) -> list[tuple[int, int, bool]] | None:
-    """Deterministic Dijkstra over direct+cooperative links; ties are
-    broken toward lower predecessor ids."""
+    out_edges: dict[int, list[tuple[int, tuple[int, ...]]]],
+    tx: dict[int, float],
+    helper: dict[int, float],
+) -> list[tuple[int, int, tuple[int, ...]]] | None:
+    """Deterministic Dijkstra over direct+cooperative links, each
+    priced tx[transmitter] + helper[h] per helper; ties are broken
+    toward lower predecessor ids.  Path edges carry their helpers."""
     dist = {src: 0.0}
-    pred: dict[int, tuple[int, int, bool]] = {}
+    pred: dict[int, tuple[int, int, tuple[int, ...]]] = {}
     heap = [(0.0, src)]
     done = set()
     while heap:
@@ -260,20 +247,20 @@ def _least_cost_path(
                 path.append(edge)
                 v = edge[0]
             return list(reversed(path))
-        if u != src and nodes_by_id[u].is_sink:
+        if tx[u] == math.inf:
             continue
-        edges = [(v, False) for v in links.direct_out(u)]
-        edges += [(m, True) for m in links.coop_succ.get(u, ())]
-        for v, is_coop in edges:
-            w = dynamic_cost(u, v, links, params, initial, remaining)
-            if not math.isfinite(w):
+        for v, helpers in out_edges[u]:
+            w = tx[u]
+            for h in helpers:
+                w += helper[h]
+            if w == math.inf:
                 continue
             nd = d + w
             better = v not in dist or nd < dist[v] - 1e-15
             tie = v in dist and abs(nd - dist[v]) <= 1e-15 and u < pred[v][0]
             if better or tie:
                 dist[v] = nd
-                pred[v] = (u, v, is_coop)
+                pred[v] = (u, v, helpers)
                 heapq.heappush(heap, (nd, v))
     return None
 
@@ -302,6 +289,13 @@ def simulate_dynamic(
     initial = {n.id: n.energy for n in nodes}
     remaining = dict(initial)
     origins = sorted(n.id for n in nodes if n.rate > 0)
+    out_edges = {
+        i: [(v, ()) for v in links.direct_out(i)]
+        + [(m, links.coop[(i, m)]) for m in links.coop_succ.get(i, ())]
+        for i in initial
+    }
+    tx = {i: dynamic_cost(e, e, params.beta1) for i, e in initial.items()}
+    helper = {i: dynamic_cost(e, e, params.beta2) for i, e in initial.items()}
 
     for rnd in range(max_rounds):
         packets = [(o, traffic(rng, nodes_by_id[o])) for o in origins]
@@ -311,16 +305,14 @@ def simulate_dynamic(
         delivered = 0
         for origin, count in packets:
             for _ in range(count):
-                path = _least_cost_path(
-                    origin, sinks, nodes_by_id, links, params, initial, remaining
-                )
+                path = _least_cost_path(origin, sinks, out_edges, tx, helper)
                 if path is None:
                     return rnd + delivered / emitted
-                for (i, _j, is_coop) in path:
-                    remaining[i] -= 1.0
-                    if is_coop:
-                        for h in links.coop[(i, _j)]:
-                            remaining[h] -= 1.0
+                for i, _j, helpers in path:
+                    for k in (i, *helpers):
+                        remaining[k] -= 1.0
+                        tx[k] = dynamic_cost(initial[k], remaining[k], params.beta1)
+                        helper[k] = dynamic_cost(initial[k], remaining[k], params.beta2)
                 delivered += 1
     return float(max_rounds)
 

@@ -38,6 +38,7 @@ def test_tracer_installs_and_reports(phy):
         routing.simulate_dynamic(nodes, links)
     assert routing.LinkSet.direct_out is direct_out
     assert tracer.counts["routing.direct_out"] > 0
+    assert tracer.counts["routing.dynamic_cost"] > 0
     assert tracer.counts["lpsolver.solve_lp"] == 1
     declared = json.loads((BENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
     reported = tracer.per_layer(1)

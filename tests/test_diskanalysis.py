@@ -43,6 +43,11 @@ class TestClusterSizeForRing:
         assert cluster_size_for_ring(2.0, sc) == 16
         assert cluster_size_for_ring(1.5, sc) == 6  # ceil(1.5^4) = ceil(5.0625)
 
+    def test_unreachable_ct_ring_is_zero(self):
+        sc = DiskScenario(b0=10.0, a0=1.0, mode="ct")
+        assert cluster_size_for_ring(10.0, sc) == 0
+        assert cluster_size_for_ring(8.0, sc) > 1
+
 
 class TestNjointProfile:
     def test_zero_bypass_recovers_forwarding(self):
@@ -128,6 +133,26 @@ class TestPureProfile:
         assert all(p == 1.0 for p in pure.p_r)
         nj = njoint_profile([1.0] * sc.grid, sc)
         assert list(pure.n_joint) == pytest.approx(nj)
+
+    def test_unreachable_rings_forward(self):
+        sc = DiskScenario(b0=10.0, a0=1.0, grid=50, mode="ct")
+        pure = pure_bypass_profile(sc)
+        marked = [k for k, nc in enumerate(pure.n_cluster) if nc == 0]
+        assert marked and marked[-1] == sc.grid - 1
+        for k, nc in enumerate(pure.n_cluster):
+            assert pure.p_r[k] == (0.0 if nc == 0 else 1.0)
+        assert all(pure.n_joint[k] == pure.n_pf[k] for k in marked)
+        joint = optimize_bypass(sc)
+        assert joint.n_cluster == pure.n_cluster
+        assert all(joint.p_r[k] == 0.0 and joint.n_joint[k] == joint.n_pf[k] for k in marked)
+
+    def test_profile_rejects_negative_cluster_size(self):
+        sc = DiskScenario(b0=2.0, a0=1.0, grid=2)
+        fields = dict(rings=(1.0, 2.0), p_r=(0.0, 0.0), n_pf=(3.0, 1.0), n_joint=(3.0, 1.0),
+                      kappa=3.0)
+        assert BypassProfile(n_cluster=(0, 1), **fields).n_cluster == (0, 1)
+        with pytest.raises(ValueError):
+            BypassProfile(n_cluster=(-1, 1), **fields)
 
 
 class TestSaving:

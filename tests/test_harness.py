@@ -164,6 +164,20 @@ class TestCli:
         header = [l for l in lines if not l.startswith("#")][0]
         assert header.split(",")[0] == "b0_over_a0"
 
+    @pytest.mark.parametrize("pure", [False, True])
+    def test_disk_ct_defaults_mark_unreachable_rings(self, tmp_path, pure):
+        # the CT model cannot reach the gain the rings of b0/a0 = 10 from
+        # 8.7 out need; they are marked with cluster size 0 and forward
+        out = tmp_path / "ct.csv"
+        assert cli.main(["--out", str(out), "disk", "--mode", "ct"] + ["--pure"] * pure) == 0
+        rows = [l.split(",") for l in out.read_text().splitlines() if l[:1].isdigit()]
+        curves = [[float(v) for v in r] for r in rows if len(r) == 6]
+        marked = [r for r in curves if r[5] == 0]
+        assert [r[1] for r in marked] == [r[1] for r in curves if r[0] == 10.0 and r[1] > 8.65]
+        assert all(r[2] == 0.0 and r[4] == r[3] for r in marked)
+        if pure:
+            assert all(r[2] == 1.0 for r in curves if r[5] > 0)
+
     def test_gain_csv(self, capsys):
         rc = cli.main(["--seed", "1", "gain", "ct", "--radius", "30", "120", "--trials", "100"])
         assert rc == 0

@@ -1,3 +1,4 @@
+import heapq
 import math
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsnlife import routing
-from wsnlife.harness import default_phy, generate_topology
+from wsnlife.harness import generate_topology
 from wsnlife.routing import (
     CostParams,
     NoRouteError,
@@ -224,48 +225,117 @@ class TestLifetimeLp:
         assert plain >= sp - 1e-9
 
 
-class TestDynamicCost:
-    def setup_method(self):
-        self.phy = default_phy()
+def reference_link_cost(i, j, links, params, initial, remaining):
+    """Per-edge inverse-barrier cost, looked up from the link sets on
+    every call: (E0_i/E_i)^beta1 + sum over helpers (E0_h/E_h)^beta2,
+    infinite once the transmitter or a helper is below one unit."""
+    if (i, j) in links.direct:
+        helpers = ()
+    elif (i, j) in links.coop:
+        helpers = links.coop[(i, j)]
+    else:
+        raise NoRouteError(f"no link {i} -> {j}")
+    if remaining[i] < 1.0 or any(remaining[h] < 1.0 for h in helpers):
+        return math.inf
+    cost = (initial[i] / remaining[i]) ** params.beta1
+    for h in helpers:
+        cost += (initial[h] / remaining[h]) ** params.beta2
+    return cost
 
-    def test_full_energy_direct(self, phy, snapshot_nodes):
-        links = build_links(snapshot_nodes, phy)
-        e = {n.id: n.energy for n in snapshot_nodes}
-        assert dynamic_cost(3, 2, links, CostParams(), e, dict(e)) == 1.0
+
+def reference_least_cost_path(src, sinks, links, params, initial, remaining):
+    """Dijkstra that prices every relaxation with reference_link_cost;
+    direct successors before cooperative ones, ties toward lower
+    predecessor ids."""
+    dist = {src: 0.0}
+    pred = {}
+    heap = [(0.0, src)]
+    done = set()
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        if u in sinks:
+            path = []
+            v = u
+            while v != src:
+                path.append(pred[v])
+                v = pred[v][0]
+            return path[::-1]
+        edges = [(v, False) for v in links.direct_out(u)]
+        edges += [(m, True) for m in links.coop_succ.get(u, ())]
+        for v, is_coop in edges:
+            w = reference_link_cost(u, v, links, params, initial, remaining)
+            if not math.isfinite(w):
+                continue
+            nd = d + w
+            better = v not in dist or nd < dist[v] - 1e-15
+            tie = v in dist and abs(nd - dist[v]) <= 1e-15 and u < pred[v][0]
+            if better or tie:
+                dist[v] = nd
+                pred[v] = (u, v, is_coop)
+                heapq.heappush(heap, (nd, v))
+    return None
+
+
+def reference_simulate(nodes, links, params=CostParams(), traffic=None, seed=0, max_rounds=10**6):
+    """The round-based heuristic with every link cost recomputed from
+    the remaining energies on each relaxation."""
+    rng = np.random.default_rng(seed)
+    if traffic is None:
+        traffic = lambda _rng, node: int(round(node.rate))
+    by_id = {n.id: n for n in nodes}
+    sinks = {n.id for n in nodes if n.is_sink}
+    initial = {n.id: n.energy for n in nodes}
+    remaining = dict(initial)
+    origins = sorted(n.id for n in nodes if n.rate > 0)
+    for rnd in range(max_rounds):
+        packets = [(o, traffic(rng, by_id[o])) for o in origins]
+        emitted = sum(cnt for _o, cnt in packets)
+        if emitted == 0:
+            continue
+        delivered = 0
+        for origin, count in packets:
+            for _ in range(count):
+                path = reference_least_cost_path(origin, sinks, links, params, initial, remaining)
+                if path is None:
+                    return rnd + delivered / emitted
+                for i, j, is_coop in path:
+                    remaining[i] -= 1.0
+                    for h in links.coop[(i, j)] if is_coop else ():
+                        remaining[h] -= 1.0
+                delivered += 1
+    return float(max_rounds)
+
+
+class TestDynamicCost:
+    def test_full_energy_direct(self):
+        # a direct link costs its transmitter's term alone: 1.0 at full energy
+        for energy in (1.0, 1.5, 8.0):
+            for beta in (0.5, 2.0, 3.7):
+                assert dynamic_cost(energy, energy, beta) == 1.0
 
     def test_hand_arithmetic(self, phy, snapshot_nodes):
+        tx = dynamic_cost(8.0, 4.0, 2.0)  # (8/4)^2
+        helper = dynamic_cost(8.0, 2.0, 0.5)  # (8/2)^0.5
+        assert (tx, helper) == (4.0, 2.0)
+        # the same energies price the snapshot's cooperative link
+        # 6 -> 1 (helper 5) at the sum of the two terms
         links = build_links(snapshot_nodes, phy)
         initial = {n.id: 8.0 for n in snapshot_nodes}
-        remaining = dict(initial)
-        remaining[6] = 4.0  # E/E_rem = 2
-        remaining[5] = 2.0  # E/E_rem = 4
-        cost = dynamic_cost(
-            6, 1, links, CostParams(beta1=2.0, beta2=0.5), initial, remaining
-        )
-        assert cost == pytest.approx(4.0 + 2.0, abs=1e-12)
+        remaining = {**initial, 6: 4.0, 5: 2.0}
+        params = CostParams(beta1=2.0, beta2=0.5)
+        assert reference_link_cost(6, 1, links, params, initial, remaining) == 6.0 == tx + helper
 
-    def test_barrier_blowup(self, phy, snapshot_nodes):
-        links = build_links(snapshot_nodes, phy)
-        initial = {n.id: 1.0 for n in snapshot_nodes}
-        remaining = dict(initial)
-        remaining[3] = 0.5
-        assert dynamic_cost(3, 2, links, CostParams(), initial, remaining) == math.inf
+    def test_barrier_blowup(self):
+        assert dynamic_cost(1.0, 0.5, 2.0) == math.inf
+        assert dynamic_cost(10.0, 0.999, 0.5) == math.inf
+        assert dynamic_cost(3.0, 1.0, 2.0) == 9.0
 
-    def test_monotone_in_depletion(self, phy, snapshot_nodes):
-        links = build_links(snapshot_nodes, phy)
-        initial = {n.id: 10.0 for n in snapshot_nodes}
-        costs = []
-        for rem in (10.0, 8.0, 5.0, 2.0):
-            remaining = dict(initial)
-            remaining[5] = rem
-            costs.append(dynamic_cost(6, 1, links, CostParams(), initial, remaining))
+    def test_monotone_in_depletion(self):
+        costs = [dynamic_cost(10.0, rem, 2.0) for rem in (10.0, 8.0, 5.0, 2.0, 1.0)]
         assert all(b > a for a, b in zip(costs, costs[1:]))
-
-    def test_missing_link(self, phy, snapshot_nodes):
-        links = build_links(snapshot_nodes, phy)
-        e = {n.id: n.energy for n in snapshot_nodes}
-        with pytest.raises(NoRouteError):
-            dynamic_cost(3, 4, links, CostParams(), e, dict(e))
 
 
 class TestSimulateDynamic:
@@ -294,6 +364,28 @@ class TestSimulateDynamic:
         heuristic = simulate_dynamic(nodes, links)
         static = shortest_path_lifetime(nodes, links)
         assert heuristic >= static
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_edge_reference(self, phy, seed):
+        # random multi-hop topologies with fractional energies, about
+        # one node in twenty below one unit (it can neither transmit
+        # nor help); once at the default exponents, once at random
+        # ones with random traffic in which those nodes emit nothing
+        rng = np.random.default_rng(seed)
+        traffic = lambda g, node: 0 if node.energy < 1.0 else int(g.integers(0, 3))
+        for k in range(20):
+            n = int(rng.integers(8, 19))
+            nodes = [
+                replace(v, energy=float(rng.uniform(0.5, 1.0) if rng.random() < 0.05
+                                        else rng.uniform(1.0, 4.0 * n)))
+                for v in generate_topology(n, 90.0, int(rng.integers(2**31)))
+            ]
+            links = build_links(nodes, phy)
+            assert simulate_dynamic(nodes, links) == reference_simulate(nodes, links)
+            params = CostParams(float(rng.uniform(0.3, 3.0)), float(rng.uniform(0.3, 3.0)))
+            assert simulate_dynamic(nodes, links, params, traffic, seed=k) == reference_simulate(
+                nodes, links, params, traffic, seed=k
+            )
 
     def test_seed_determinism(self, phy, snapshot_nodes):
         links = build_links(snapshot_nodes, phy)
