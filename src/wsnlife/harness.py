@@ -113,7 +113,8 @@ def save_topology(nodes: list[SensorNode], path: str) -> None:
 def load_topology(path: str) -> list[SensorNode]:
     """Read a topology file.  A malformed one (no node list, a node
     without id/x/y, a non-numeric or non-finite value, a duplicate id,
-    no sink) raises a one-line ValueError."""
+    no sink, no sensor with a positive rate) raises a one-line
+    ValueError."""
     with open(path) as fh:
         data = json.load(fh)
     entries = data.get("nodes") if isinstance(data, dict) else None
@@ -145,6 +146,8 @@ def load_topology(path: str) -> list[SensorNode]:
         raise ValueError(f"{path}: duplicate node ids {duplicates}")
     if not any(n.is_sink for n in nodes):
         raise ValueError(f"{path}: no sink (a node with a negative rate)")
+    if not any(n.rate > 0 for n in nodes):
+        raise ValueError(f"{path}: no sensor with a positive rate")
     return nodes
 
 

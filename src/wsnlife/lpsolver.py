@@ -1,6 +1,9 @@
 """Two-phase revised simplex for sparse equality-form LPs.
 
-Solves max c.x subject to A x = b, x >= 0.  The basis inverse is kept
+Solves max c.x subject to A x = b, x >= 0.  Phase 1 starts from an
+all-artificial basis; a caller that already knows a feasible basis
+(one column per row, nonsingular, B^-1 b >= 0) passes it and the solve
+starts in phase 2.  The basis inverse is kept
 explicitly (dense, one rank-1 update per pivot); A is read only through
 its nonzeros, so a pivot costs one sparse pricing product plus O(m^2).
 Dantzig pricing with a permanent switch to Bland's rule once a
@@ -124,42 +127,67 @@ def _iterate(a: _Columns, cost, binv, x_b, basis, max_iters):
     raise SimplexError(f"simplex did not terminate within {max_iters} pivots")
 
 
-def solve_lp(lp: StandardLP) -> LPSolution:
+def _factor(lp: StandardLP, keep, basis, b):
+    """B^-1 and x_B for the basis columns on the kept rows, with the
+    rows whose right-hand side is negative negated."""
+    sign = np.where(lp.b[keep] < 0, -1.0, 1.0)
+    binv = np.linalg.inv(sign[:, None] * lp.a[np.ix_(keep, basis)])
+    return binv, binv @ b
+
+
+def solve_lp(lp: StandardLP, basis=None) -> LPSolution:
+    """Optimize lp, from the given feasible basis (column ids, one per
+    row) if there is one, else from phase 1.  A given basis that is
+    malformed, singular or infeasible raises ValueError."""
     m, n = lp.a.shape
     cols, rows = np.nonzero(lp.a.T)
     vals = lp.a[rows, cols]
     vals[lp.b[rows] < 0] *= -1.0
     b = np.abs(lp.b)
     max_iters = max(200, 50 * (m + n))
-
-    # Phase 1: artificial basis, maximize -(sum of artificials).
     a = _Columns(rows, cols, vals, n)
-    binv, x_b, basis = np.eye(m), b.copy(), np.arange(n, n + m)
-    cost = np.concatenate([np.zeros(n), -np.ones(m)])
-    status, pivots1, bland1 = _iterate(a, cost, binv, x_b, basis, max_iters)
-    if status != "optimal":
-        raise SimplexError("phase 1 reported unbounded (internal bug)")
-    if x_b[basis >= n].sum() > 1e-7 * (1.0 + b.max(initial=0.0)):
-        return LPSolution(np.zeros(n), float("nan"), "infeasible", pivots1, 0, bland1)
-
-    # Drive remaining artificials out of the basis or drop their rows.
-    # An artificial e_k left basic at position i makes row i of B^-1 A a
-    # dependency with weight 1 on constraint k, so constraint k goes.
     keep = np.ones(m, dtype=bool)
-    for i in np.flatnonzero(basis >= n).tolist():
-        big = np.flatnonzero(np.abs(a.price(binv[i])[:n]) > _PIVOT_TOL)
-        if big.size:
-            _exchange(binv, x_b, basis, a.column(binv, int(big[0])), i, int(big[0]))
-            pivots1 += 1
-        else:
-            keep[basis[i] - n] = False
-    if not keep.all():  # refactorize the kept basis on the kept rows
-        kept = keep[rows]
-        a = _Columns((np.cumsum(keep) - 1)[rows[kept]], cols[kept], vals[kept], n)
-        basis, b = basis[basis < n], b[keep]
-        sign = np.where(lp.b[keep] < 0, -1.0, 1.0)
-        binv = np.linalg.inv(sign[:, None] * lp.a[np.ix_(keep, basis)])
-        x_b = binv @ b
+
+    if basis is not None:
+        basis = np.array(basis, dtype=np.intp)
+        if basis.shape != (m,) or not ((basis >= 0) & (basis < n)).all():
+            raise ValueError(f"starting basis must list {m} column ids in [0, {n})")
+        try:
+            binv, x_b = _factor(lp, keep, basis, b)
+        except np.linalg.LinAlgError:
+            raise ValueError("starting basis is singular") from None
+        # 1-norm condition number of B from B^-1, which is already at hand
+        cond = np.abs(lp.a[:, basis]).sum(axis=0).max() * np.abs(binv).sum(axis=0).max()
+        if not cond < 1e12:
+            raise ValueError(f"starting basis is singular (condition number {cond:.3g})")
+        if x_b.min(initial=0.0) < -1e-9 * (1.0 + b.max(initial=0.0)):
+            raise ValueError("starting basis is infeasible: B^-1 b has a negative entry")
+        pivots1, bland1 = 0, False
+    else:
+        # Phase 1: artificial basis, maximize -(sum of artificials).
+        binv, x_b, basis = np.eye(m), b.copy(), np.arange(n, n + m)
+        cost = np.concatenate([np.zeros(n), -np.ones(m)])
+        status, pivots1, bland1 = _iterate(a, cost, binv, x_b, basis, max_iters)
+        if status != "optimal":
+            raise SimplexError("phase 1 reported unbounded (internal bug)")
+        if x_b[basis >= n].sum() > 1e-7 * (1.0 + b.max(initial=0.0)):
+            return LPSolution(np.zeros(n), float("nan"), "infeasible", pivots1, 0, bland1)
+
+        # Drive remaining artificials out of the basis or drop their rows.
+        # An artificial e_k left basic at position i makes row i of B^-1 A a
+        # dependency with weight 1 on constraint k, so constraint k goes.
+        for i in np.flatnonzero(basis >= n).tolist():
+            big = np.flatnonzero(np.abs(a.price(binv[i])[:n]) > _PIVOT_TOL)
+            if big.size:
+                _exchange(binv, x_b, basis, a.column(binv, int(big[0])), i, int(big[0]))
+                pivots1 += 1
+            else:
+                keep[basis[i] - n] = False
+        if not keep.all():  # refactorize the kept basis on the kept rows
+            kept = keep[rows]
+            a = _Columns((np.cumsum(keep) - 1)[rows[kept]], cols[kept], vals[kept], n)
+            basis, b = basis[basis < n], b[keep]
+            binv, x_b = _factor(lp, keep, basis, b)
     status, pivots2, bland2 = _iterate(a, lp.c, binv, x_b, basis, max_iters)
     counters = dict(phase1_pivots=pivots1, phase2_pivots=pivots2, bland=bland1 or bland2)
     if status == "unbounded":

@@ -187,7 +187,16 @@ def solve_lifetime_lp(
     b = np.array([0.0] * ns + [n.energy for n in sensors])
     c = np.zeros(a.shape[1])
     c[t_col] = 1.0
-    sol = solve_lp(StandardLP(a=a, b=b, c=c))
+    # Crash basis: each sensor's min-hop tree edge plus every energy
+    # slack.  Tree edges are triangular in hop order on the conservation
+    # rows, so B is nonsingular, and x_B = (0, E) is feasible.
+    tree = _min_hop_tree({n.id for n in nodes if n.is_sink}, links)
+    basis = None
+    if all(n.id in tree for n in sensors):
+        column = {(i, j): k for k, (i, j, _h) in enumerate(flows[:n_direct])}
+        basis = [column[(n.id, tree[n.id])] for n in sensors]
+        basis += range(t_col + 1, t_col + 1 + ns)
+    sol = solve_lp(StandardLP(a=a, b=b, c=c), basis)
     if sol.status != "optimal":
         return FlowSolution(qhat={}, lifetime=0.0, energy_used={}, status=sol.status)
 
@@ -278,11 +287,14 @@ def simulate_dynamic(
     decremented one unit per transmission (helpers included).
 
     traffic maps (rng, node) to an integer packet count; the default
-    emits round(node.rate) packets.  Returns completed rounds plus the
-    delivered fraction of the failing round.
+    emits round(node.rate) packets and raises ValueError if that is
+    none at all.  Returns completed rounds plus the delivered fraction
+    of the failing round.
     """
     rng = np.random.default_rng(seed)
     if traffic is None:
+        if sum(int(round(n.rate)) for n in nodes if n.rate > 0) == 0:
+            raise ValueError("no sensor emits a packet per round (every rate rounds to 0)")
         traffic = lambda _rng, node: int(round(node.rate))
     nodes_by_id = {n.id: n for n in nodes}
     sinks = {n.id for n in nodes if n.is_sink}
@@ -317,37 +329,44 @@ def simulate_dynamic(
     return float(max_rounds)
 
 
+def _min_hop_tree(sinks: set[int], links: LinkSet) -> dict[int, int]:
+    """Next hop of every non-sink node that reaches a sink over direct
+    links: its lowest-id direct successor one hop closer to the sink
+    set.  A BFS from the sinks over reversed direct links, one layer at
+    a time in ascending id order, meets each node first from exactly
+    that successor."""
+    tree: dict[int, int] = {}
+    seen, frontier = set(sinks), sorted(sinks)
+    while frontier:
+        found = []
+        for v in frontier:
+            for i in links.direct_pred.get(v, ()):
+                if i not in seen:
+                    seen.add(i)
+                    tree[i] = v
+                    found.append(i)
+        frontier = sorted(found)
+    return tree
+
+
 def shortest_path_lifetime(nodes: list[SensorNode], links: LinkSet) -> float:
     """Static min-hop routing over direct links only: fixed paths,
     ties toward lower node ids, lifetime until the busiest node dies."""
     sinks = {n.id for n in nodes if n.is_sink}
     if not sinks:
         raise ValueError("network has no sink")
-    # BFS hop counts from the sink set over (reversed) direct links.
-    hops = {s: 0 for s in sinks}
-    frontier = sorted(sinks)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in links.direct_pred.get(v, ()):
-                if i not in hops:
-                    hops[i] = hops[v] + 1
-                    nxt.append(i)
-        frontier = sorted(set(nxt))
+    tree = _min_hop_tree(sinks, links)
 
     spend = {n.id: 0.0 for n in nodes}
     for node in nodes:
         if node.rate <= 0:
             continue
-        if node.id not in hops:
+        if node.id not in tree:
             raise NoRouteError(f"origin {node.id} cannot reach any sink")
         v = node.id
-        while v not in sinks:
-            nxt = min(
-                j for j in links.direct_out(v) if j in hops and hops[j] == hops[v] - 1
-            )
+        while v in tree:
             spend[v] += node.rate
-            v = nxt
+            v = tree[v]
     lifetimes = [
         nodes_by.energy / spend[nodes_by.id]
         for nodes_by in nodes

@@ -56,6 +56,8 @@ class TestTopology:
             ([{"id": 0, "x": 0, "y": None, "rate": -1}], "node 0"),
             ([{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 1, "y": 0}], "no sink"),
             ([5], "node 0 is not an object"),
+            ([{"id": 0, "x": 0, "y": 0, "rate": -1}, {"id": 1, "x": 1, "y": 0, "rate": 0}],
+             "no sensor with a positive rate"),
         ],
     )
     def test_malformed_file_rejected(self, tmp_path, capsys, nodes, message):
@@ -257,6 +259,30 @@ class TestCli:
         rc = cli.main(["--out", str(out), "simulate", "--topology", str(topo)])
         assert rc == 0
         assert json.loads(out.read_text())["lifetime_rounds"] >= 0.0
+
+    @pytest.mark.parametrize(
+        "rate, message",
+        [(0.0, "no sensor with a positive rate"), (0.4, "no sensor emits a packet per round")],
+    )
+    def test_simulate_zero_traffic_is_an_error(self, tmp_path, capsys, rate, message):
+        topo = tmp_path / "topo.json"
+        topo.write_text(json.dumps({"nodes": [
+            {"id": 0, "x": 0, "y": 0, "rate": -1}, {"id": 1, "x": 10, "y": 0, "rate": rate},
+        ]}))
+        assert cli.main(["simulate", "--topology", str(topo)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_fractional_rate_lp(self, tmp_path, capsys):
+        # rate 0.4 is valid traffic for the LP: one hop, lifetime E / rate.
+        topo = tmp_path / "topo.json"
+        topo.write_text(json.dumps({"nodes": [
+            {"id": 0, "x": 0, "y": 0, "rate": -1}, {"id": 1, "x": 10, "y": 0, "rate": 0.4},
+        ]}))
+        assert cli.main(["lp", "--topology", str(topo)]) == 0
+        assert json.loads(capsys.readouterr().out)["lifetime"] == pytest.approx(2.5, rel=1e-12)
 
     def test_metadata_reproduces_table(self):
         # re-running with the parameters echoed in the metadata gives

@@ -154,6 +154,60 @@ class TestSolveLp:
         assert sol.x.tolist() == pytest.approx([1.0, 0.0, 1.0, 2.0], abs=1e-12)
 
 
+def first_feasible_basis(lp: StandardLP):
+    """The first basis, in combinations order, that is nonsingular and
+    has B^-1 b >= 0."""
+    m, n = lp.a.shape
+    for cols in itertools.combinations(range(n), m):
+        sub = lp.a[:, cols]
+        if np.linalg.matrix_rank(sub) == m and (np.linalg.solve(sub, lp.b) >= 0.0).all():
+            return list(cols)
+    raise AssertionError("LP has no feasible basis")
+
+
+class TestStartingBasis:
+    def test_slack_basis_skips_phase1(self):
+        sol = solve_lp(StandardLP(a=[[1.0, 1.0]], b=[5.0], c=[1.0, 0.0]), basis=[1])
+        assert (sol.phase1_pivots, sol.phase2_pivots, sol.bland) == (0, 1, False)
+        assert sol.x.tolist() == [5.0, 0.0]
+
+    def test_negative_rhs_row(self):
+        sol = solve_lp(StandardLP(a=[[-1.0, -1.0]], b=[-5.0], c=[1.0, 0.0]), basis=[1])
+        assert sol.phase1_pivots == 0
+        assert sol.objective == pytest.approx(5.0, abs=1e-12)
+
+    def test_matches_vertex_enumeration(self):
+        rng = np.random.default_rng(2024)
+        for trial in range(20):
+            m = int(rng.integers(2, 5))
+            n = int(rng.integers(m + 1, 10))
+            lp = random_feasible_lp(rng, m, n)
+            sol = solve_lp(lp, first_feasible_basis(lp))
+            assert sol.status == "optimal" and sol.phase1_pivots == 0, trial
+            assert sol.objective == pytest.approx(enumerate_vertices(lp), abs=1e-7), trial
+
+    def test_unbounded_from_basis(self):
+        sol = solve_lp(StandardLP(a=[[1.0, -1.0]], b=[0.0], c=[1.0, 0.0]), basis=[0])
+        assert (sol.status, sol.phase1_pivots) == ("unbounded", 0)
+
+    @pytest.mark.parametrize(
+        "a, b, basis, message",
+        [
+            ([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]], [1.0, 2.0], [0, 1], "singular"),
+            ([[1.0, 1.0 + 1e-14, 0.0], [1.0, 1.0, 1.0]], [1.0, 2.0], [0, 1], "singular"),
+            ([[1.0, -1.0]], [5.0], [1], "infeasible"),
+            ([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]], [1.0, 2.0], [0, 1], "infeasible"),
+            ([[1.0, 1.0]], [5.0], [0, 1], "column ids"),
+            ([[1.0, 1.0]], [5.0], [2], "column ids"),
+            ([[1.0, 1.0]], [5.0], [-1], "column ids"),
+        ],
+    )
+    def test_bad_basis_raises(self, a, b, basis, message):
+        lp = StandardLP(a=a, b=b, c=[1.0] + [0.0] * (len(a[0]) - 1))
+        with pytest.raises(ValueError, match=message):
+            solve_lp(lp, basis)
+
+
 class TestCounters:
     def test_simple_cap_counts(self):
         # x enters the all-artificial basis once and is already optimal.

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from wsnlife import routing
 from wsnlife.harness import generate_topology
+from wsnlife.lpsolver import solve_lp
 from wsnlife.routing import (
     CostParams,
     NoRouteError,
@@ -143,7 +144,9 @@ class TestLifetimeLp:
         links = build_links(nodes, phy)
         captured = []
         solve = routing.solve_lp
-        monkeypatch.setattr(routing, "solve_lp", lambda lp: captured.append(lp) or solve(lp))
+        monkeypatch.setattr(
+            routing, "solve_lp", lambda lp, basis=None: captured.append(lp) or solve(lp, basis)
+        )
         solve_lifetime_lp(nodes, links, with_coop=with_coop)
         a, b, c = reference_lp_matrix(nodes, links, with_coop)
         (lp,) = captured
@@ -223,6 +226,119 @@ class TestLifetimeLp:
         except NoRouteError:
             return
         assert plain >= sp - 1e-9
+
+
+def capture_lps(monkeypatch):
+    """Record (lp, basis, solution) for every solve_lp call that
+    solve_lifetime_lp makes."""
+    calls = []
+    solve = routing.solve_lp
+
+    def spy(lp, basis=None):
+        sol = solve(lp, basis)
+        calls.append((lp, basis, sol))
+        return sol
+
+    monkeypatch.setattr(routing, "solve_lp", spy)
+    return calls
+
+
+def connected_topology(phy, n, seed):
+    """generate_topology at the lp_scaling density (30 nodes per
+    100 m x 100 m), redrawn until every sensor reaches the sink over
+    direct links."""
+    for attempt in range(100):
+        nodes = generate_topology(n, 100.0 * math.sqrt(n / 30.0), 1000 * seed + attempt)
+        links = build_links(nodes, phy)
+        try:
+            shortest_path_lifetime(nodes, links)
+        except NoRouteError:
+            continue
+        return nodes, links
+    raise AssertionError(f"no connected topology with n={n}")
+
+
+def reference_min_hop_next(nodes, links):
+    """Next hops by the rule itself: BFS hop counts to the sink set,
+    then the lowest-id direct successor one hop closer."""
+    sinks = {n.id for n in nodes if n.is_sink}
+    hops = {s: 0 for s in sinks}
+    while True:
+        new = {i: hops[j] + 1 for (i, j) in links.direct if j in hops and i not in hops}
+        if not new:
+            break
+        hops.update(new)
+    return {
+        v: min(j for j in links.direct_out(v) if hops.get(j) == hops[v] - 1)
+        for v in hops
+        if v not in sinks
+    }
+
+
+class TestCrashBasis:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_min_hop_tree_matches_rule(self, phy, seed):
+        nodes = generate_topology(25, 120.0, seed)
+        links = build_links(nodes, phy)
+        sinks = {n.id for n in nodes if n.is_sink}
+        assert routing._min_hop_tree(sinks, links) == reference_min_hop_next(nodes, links)
+
+    @pytest.mark.parametrize("with_coop", [False, True])
+    @pytest.mark.parametrize("n, seed", [(10, 1), (20, 2), (30, 3), (45, 4), (60, 5)])
+    def test_connected_network_skips_phase1(self, phy, monkeypatch, n, seed, with_coop):
+        nodes, links = connected_topology(phy, n, seed)
+        calls = capture_lps(monkeypatch)
+        lifetime = solve_lifetime_lp(nodes, links, with_coop=with_coop).lifetime
+        ((lp, basis, sol),) = calls
+        assert basis is not None and sol.phase1_pivots == 0
+        cold = solve_lp(lp)
+        assert cold.phase1_pivots > 0
+        assert lifetime == pytest.approx(cold.objective, rel=1e-12)
+
+    def test_pivot_budget(self, phy, monkeypatch):
+        # The crash basis must save pivots, not only phase 1: on this
+        # fixed n = 60 instance its phase-2 pivots stay below the cold
+        # solve's phase-1 plus phase-2 pivots.
+        nodes, links = connected_topology(phy, 60, 7)
+        calls = capture_lps(monkeypatch)
+        solve_lifetime_lp(nodes, links, with_coop=True)
+        ((lp, _basis, crash),) = calls
+        cold = solve_lp(lp)
+        assert crash.phase1_pivots + crash.phase2_pivots < cold.phase1_pivots + cold.phase2_pivots
+
+    def test_coop_only_sensor_takes_phase1(self, phy, monkeypatch):
+        # Sensors 2 and 3 reach each other directly but the sink only
+        # cooperatively, each helping the other: 2T <= 1 at either node.
+        a0 = phy.hop_range()
+        nodes = [
+            SensorNode(id=1, x=0.0, y=0.0, rate=-2.0),
+            SensorNode(id=2, x=1.05 * a0, y=0.0),
+            SensorNode(id=3, x=1.3 * a0, y=0.0),
+        ]
+        links = build_links(nodes, phy)
+        assert links.direct == {(2, 3), (3, 2)}
+        assert links.coop == {(2, 1): (3,), (3, 1): (2,)}
+        calls = capture_lps(monkeypatch)
+        sol = solve_lifetime_lp(nodes, links, with_coop=True)
+        ((_lp, basis, lp_sol),) = calls
+        assert basis is None and lp_sol.phase1_pivots > 0
+        assert sol.lifetime == pytest.approx(0.5, rel=1e-12)
+
+    def test_unreachable_sensor_takes_phase1(self, phy, monkeypatch):
+        # Sensor 3 has no route but no traffic either, so sensor 2's
+        # single hop sets the lifetime.
+        a0 = phy.hop_range()
+        nodes = [
+            SensorNode(id=1, x=0.0, y=0.0, rate=-1.0),
+            SensorNode(id=2, x=0.5 * a0, y=0.0, rate=1.0),
+            SensorNode(id=3, x=10.0 * a0, y=0.0, rate=0.0),
+        ]
+        links = build_links(nodes, phy)
+        calls = capture_lps(monkeypatch)
+        sol = solve_lifetime_lp(nodes, links)
+        ((_lp, basis, lp_sol),) = calls
+        assert basis is None and lp_sol.phase1_pivots > 0
+        assert sol.lifetime == pytest.approx(1.0, rel=1e-12)
 
 
 def reference_link_cost(i, j, links, params, initial, remaining):
@@ -353,6 +469,15 @@ class TestSimulateDynamic:
         ]
         links = build_links(nodes, phy)
         assert simulate_dynamic(nodes, links) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.4])
+    def test_no_packets_raises(self, phy, rate):
+        # Default traffic emits round(rate) = 0 packets a round, which
+        # would otherwise spin through every round.
+        nodes = two_node_net(phy, 0.5)
+        nodes[1] = replace(nodes[1], rate=rate)
+        with pytest.raises(ValueError, match="no sensor emits a packet"):
+            simulate_dynamic(nodes, build_links(nodes, phy), max_rounds=10)
 
     def test_at_least_static_baseline(self, phy, snapshot_nodes):
         # larger batteries so the round granularity does not dominate
