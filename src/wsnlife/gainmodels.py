@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Hyp2F1Args, hyp2f1_terminating
+from .numerics import Hyp2F1Args, bessel_j0, hyp2f1_terminating
 
 __all__ = [
     "MU",
@@ -36,8 +36,9 @@ MU = 0.09332
 # batching.
 _CHUNK = 16384
 
-# Azimuth grid of the CB Monte Carlo beampattern average.
-_N_PHI = 2048
+# Node pairs per batch of the CB Monte Carlo (trials x N(N-1)/2),
+# which bounds its working memory.
+_CB_PAIRS_PER_BATCH = 2**16
 
 # Largest cluster size the CT search in invert_cluster_size tries.
 _N_MAX = 10**6
@@ -129,6 +130,18 @@ class GainEstimate:
             raise ValueError("gain and stderr must be nonnegative")
 
 
+def _monte_carlo_estimate(total: float, total_sq: float, trials: int) -> GainEstimate:
+    """Mean and its standard error from a sample's sum and sum of
+    squares."""
+    mean = total / trials
+    if trials > 1:
+        var = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
+        stderr = math.sqrt(var / trials)
+    else:
+        stderr = 0.0
+    return GainEstimate(value=mean, mode="monte-carlo", stderr=stderr)
+
+
 def cb_gain_bound(geom: ClusterGeometry, phy: PhyParams) -> GainEstimate:
     """Tight lower bound on the average CB directivity of a random
     n-node disk array: n / (1 + MU * n * wavelength / r_disk)."""
@@ -139,12 +152,16 @@ def cb_gain_bound(geom: ClusterGeometry, phy: PhyParams) -> GainEstimate:
 def cb_gain_monte_carlo(
     geom: ClusterGeometry, phy: PhyParams, trials: int, seed: int
 ) -> GainEstimate:
-    """Average directivity of random disk arrays by direct beampattern
-    integration.
+    """Average directivity of random disk arrays from the exact
+    azimuth average of the beampattern.
 
-    Each trial draws one placement, evaluates the squared array factor
-    on a uniform azimuth grid, and takes boresight power (1 by
-    construction) over the azimuth-averaged power.
+    Each trial draws one placement (radius r_k with density 2r/R^2,
+    angle psi_k uniform) and takes boresight power (1 by construction)
+    over the azimuth-averaged compensated power
+    1/N + (2/N^2) sum_{k<l} cos(k0 (x_k - x_l)) J0(k0 |p_k - p_l|),
+    with k0 = 2 pi / wavelength and x_k = r_k cos psi_k (DLMF 10.9.1;
+    Ochiai et al., IEEE TSP 2005).  The average is exact, so no
+    azimuth grid can alias at large k0 R.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -152,27 +169,26 @@ def cb_gain_monte_carlo(
     if n == 1:
         return GainEstimate(value=1.0, mode="monte-carlo", stderr=0.0)
     rng = np.random.default_rng(seed)
-    phi = np.linspace(0.0, 2.0 * np.pi, _N_PHI, endpoint=False)
-    sin_half = np.sin(phi / 2.0)[:, None]
-    half_phi = (phi / 2.0)[:, None]
+    k0 = 2.0 * np.pi / lam
+    first, second = np.triu_indices(n, 1)
+    batch = max(1, _CB_PAIRS_PER_BATCH // first.size)
     total = 0.0
     total_sq = 0.0
-    for _ in range(trials):
-        r = r_disk * np.sqrt(rng.random(n))
-        psi = rng.random(n) * 2.0 * np.pi
-        # compensated phase at observation angle phi
-        arg = -(4.0 * np.pi / lam) * sin_half * (r[None, :] * np.sin(psi[None, :] - half_phi))
-        pattern = np.abs(np.exp(1j * arg).mean(axis=1)) ** 2
-        d = 1.0 / pattern.mean()
-        total += d
-        total_sq += d * d
-    mean = total / trials
-    if trials > 1:
-        var = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
-        stderr = math.sqrt(var / trials)
-    else:
-        stderr = 0.0
-    return GainEstimate(value=mean, mode="monte-carlo", stderr=stderr)
+    for start in range(0, trials, batch):
+        count = min(batch, trials - start)
+        # one row per trial: n radii then n angles, the per-trial order
+        u = rng.random((count, 2 * n))
+        r = r_disk * np.sqrt(u[:, :n])
+        psi = u[:, n:] * 2.0 * np.pi
+        x, y = r * np.cos(psi), r * np.sin(psi)
+        dx = x[:, first] - x[:, second]
+        dist = np.hypot(dx, y[:, first] - y[:, second])
+        cross = (np.cos(k0 * dx) * bessel_j0(k0 * dist)).sum(axis=1)
+        for power in 1.0 / n + (2.0 / n**2) * cross:
+            d = 1.0 / power
+            total += d
+            total_sq += d * d
+    return _monte_carlo_estimate(total, total_sq, trials)
 
 
 def _good_channel_arg(geom: ClusterGeometry, phy: PhyParams) -> float:
@@ -226,13 +242,7 @@ def ct_gain_monte_carlo(
         gains = 1.0 + (dist**alpha * d ** (-alpha) * h2 * p_suc).sum(axis=1)
         total += gains.sum()
         total_sq += (gains * gains).sum()
-    mean = total / trials
-    if trials > 1:
-        var = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
-        stderr = math.sqrt(var / trials)
-    else:
-        stderr = 0.0
-    return GainEstimate(value=mean, mode="monte-carlo", stderr=stderr)
+    return _monte_carlo_estimate(total, total_sq, trials)
 
 
 def invert_cluster_size(required_gain: float, mode: str, phy: PhyParams) -> int:

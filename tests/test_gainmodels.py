@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from wsnlife.gainmodels import (
@@ -55,6 +56,25 @@ class TestCbBound:
         assert all(0.0 < v / 20.0 <= 1.0 for v in vals_r)
 
 
+def cb_grid_reference(geom, phy, trials, seed, n_phi):
+    """The former estimator's per-trial directivities: boresight power
+    over the compensated |AF|^2 averaged on an n_phi-point azimuth
+    grid, from the same draws (n radii, then n angles)."""
+    n, r_disk, lam = geom.n, geom.r_disk, phy.wavelength
+    rng = np.random.default_rng(seed)
+    phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
+    sin_half = np.sin(phi / 2.0)[:, None]
+    half_phi = (phi / 2.0)[:, None]
+    values = []
+    for _ in range(trials):
+        r = r_disk * np.sqrt(rng.random(n))
+        psi = rng.random(n) * 2.0 * np.pi
+        arg = -(4.0 * np.pi / lam) * sin_half * (r[None, :] * np.sin(psi[None, :] - half_phi))
+        pattern = np.abs(np.exp(1j * arg).mean(axis=1)) ** 2
+        values.append(1.0 / pattern.mean())
+    return np.array(values)
+
+
 class TestCbMonteCarlo:
     def test_single_antenna(self):
         phy = PhyParams(wavelength=1.0)
@@ -75,6 +95,36 @@ class TestCbMonteCarlo:
         est = cb_gain_monte_carlo(geom, phy, 50, seed=3)
         bound = cb_gain_bound(geom, phy).value
         assert est.value >= 0.95 * bound
+
+    def test_matches_grid_where_grid_resolves(self):
+        # k0 * 2R = 126, far below the 2,048-point grid
+        phy = PhyParams(wavelength=1.0)
+        geom = ClusterGeometry(n=100, r_disk=10.0, dist=1000.0)
+        est = cb_gain_monte_carlo(geom, phy, 30, seed=11)
+        ref = cb_grid_reference(geom, phy, 30, seed=11, n_phi=2048)
+        assert est.value == pytest.approx(ref.mean(), rel=1e-12)
+
+    def test_fine_grid_agrees_and_coarse_grid_aliases(self):
+        # k0 * 2R = 6,283: a 2,048-point grid aliases, 16,384 points do not
+        phy = PhyParams(wavelength=0.1)
+        geom = ClusterGeometry(n=10, r_disk=50.0, dist=1000.0)
+        est = cb_gain_monte_carlo(geom, phy, 20, seed=13)
+        fine = cb_grid_reference(geom, phy, 20, seed=13, n_phi=16384)
+        coarse = cb_grid_reference(geom, phy, 20, seed=13, n_phi=2048)
+        assert est.value == pytest.approx(fine.mean(), rel=1e-12)
+        # the aliasing error of single placements; over 20 trials it
+        # partly averages out
+        assert np.abs(coarse / fine - 1.0).max() > 1e-3
+
+    def test_batches_keep_the_trial_order(self):
+        # 1,500 trials at n = 10 span two batches; the draws and the
+        # sum stay in trial order (k0 * 2R = 75, so 512 azimuths resolve)
+        phy = PhyParams(wavelength=0.5)
+        geom = ClusterGeometry(n=10, r_disk=3.0, dist=100.0)
+        est = cb_gain_monte_carlo(geom, phy, 1500, seed=17)
+        ref = cb_grid_reference(geom, phy, 1500, seed=17, n_phi=512)
+        assert est.value == pytest.approx(ref.mean(), rel=1e-12)
+        assert est.stderr == pytest.approx(ref.std(ddof=1) / math.sqrt(1500), rel=1e-9)
 
 
 class TestCtClosedForm:
