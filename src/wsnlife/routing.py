@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -231,47 +232,71 @@ def dynamic_cost(initial: float, remaining: float, beta: float) -> float:
 
 def _least_cost_path(
     src: int,
-    sinks: set[int],
-    out_edges: dict[int, list[tuple[int, tuple[int, ...]]]],
-    tx: dict[int, float],
-    helper: dict[int, float],
-) -> list[tuple[int, int, tuple[int, ...]]] | None:
-    """Deterministic Dijkstra over direct+cooperative links, each
-    priced tx[transmitter] + helper[h] per helper; ties are broken
-    toward lower predecessor ids.  Path edges carry their helpers."""
-    dist = {src: 0.0}
-    pred: dict[int, tuple[int, int, tuple[int, ...]]] = {}
+    is_sink: list[bool],
+    groups: list[list[tuple[tuple[int, ...], list[int]]]],
+    tx: list[float],
+    helper: list[float],
+) -> list[tuple[int, tuple[int, ...]]] | None:
+    """Deterministic Dijkstra on dense node indexes over direct and
+    cooperative links.  groups[u] holds u's out-edges as (helpers,
+    targets), direct links under (); a group's links all cost
+    tx[u] + helper[h] per helper.  Ties are broken toward the lower
+    predecessor index, then the lower sink index.  Returns the path as
+    (transmitter, helpers) edges."""
+    n = len(tx)
+    dist = [math.inf] * n
+    pred = [0] * n
+    via: list[tuple[int, ...]] = [()] * n
+    done = [False] * n
+    dist[src] = 0.0
     heap = [(0.0, src)]
-    done = set()
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        d, u = heapq.heappop(heap)
-        if u in done:
+        d, u = pop(heap)
+        if done[u]:
             continue
-        done.add(u)
-        if u in sinks:
+        done[u] = True
+        if is_sink[u]:
             path = []
-            v = u
-            while v != src:
-                edge = pred[v]
-                path.append(edge)
-                v = edge[0]
-            return list(reversed(path))
-        if tx[u] == math.inf:
+            while u != src:
+                path.append((pred[u], via[u]))
+                u = pred[u]
+            return path[::-1]
+        t = tx[u]
+        if t == math.inf:
             continue
-        for v, helpers in out_edges[u]:
-            w = tx[u]
+        for helpers, targets in groups[u]:
+            w = t
             for h in helpers:
                 w += helper[h]
             if w == math.inf:
                 continue
             nd = d + w
-            better = v not in dist or nd < dist[v] - 1e-15
-            tie = v in dist and abs(nd - dist[v]) <= 1e-15 and u < pred[v][0]
-            if better or tie:
-                dist[v] = nd
-                pred[v] = (u, v, helpers)
-                heapq.heappush(heap, (nd, v))
+            for v in targets:
+                # Every cost term is >= 1, so an edge into a finalized
+                # node can pass neither test below.
+                if done[v]:
+                    continue
+                dv = dist[v]
+                if nd < dv - 1e-15 or (abs(nd - dv) <= 1e-15 and u < pred[v]):
+                    dist[v] = nd
+                    pred[v] = u
+                    via[v] = helpers
+                    push(heap, (nd, v))
     return None
+
+
+def _weight_groups(
+    links: LinkSet, i: int, index: dict[int, int]
+) -> list[tuple[tuple[int, ...], list[int]]]:
+    """Node i's out-edges on dense indexes, grouped by helper tuple:
+    direct targets under (), then each helper tuple's coop targets,
+    every group in ascending target order."""
+    groups = {(): [index[v] for v in links.direct_out(i)]}
+    for m in links.coop_succ.get(i, ()):
+        helpers = tuple(index[h] for h in links.coop[(i, m)])
+        groups.setdefault(helpers, []).append(index[m])
+    return [(helpers, targets) for helpers, targets in groups.items() if targets]
 
 
 def simulate_dynamic(
@@ -286,7 +311,9 @@ def simulate_dynamic(
     each routed along the current least-cost path; energies are
     decremented one unit per transmission (helpers included).
 
-    traffic maps (rng, node) to an integer packet count; the default
+    traffic maps (rng, node) to that node's packet count, a
+    nonnegative integer (anything else raises a ValueError naming the
+    node); the default
     emits round(node.rate) packets and raises ValueError if that is
     none at all.  Returns completed rounds plus the delivered fraction
     of the failing round.
@@ -296,31 +323,37 @@ def simulate_dynamic(
         if sum(int(round(n.rate)) for n in nodes if n.rate > 0) == 0:
             raise ValueError("no sensor emits a packet per round (every rate rounds to 0)")
         traffic = lambda _rng, node: int(round(node.rate))
-    nodes_by_id = {n.id: n for n in nodes}
-    sinks = {n.id for n in nodes if n.is_sink}
-    initial = {n.id: n.energy for n in nodes}
-    remaining = dict(initial)
-    origins = sorted(n.id for n in nodes if n.rate > 0)
-    out_edges = {
-        i: [(v, ()) for v in links.direct_out(i)]
-        + [(m, links.coop[(i, m)]) for m in links.coop_succ.get(i, ())]
-        for i in initial
-    }
-    tx = {i: dynamic_cost(e, e, params.beta1) for i, e in initial.items()}
-    helper = {i: dynamic_cost(e, e, params.beta2) for i, e in initial.items()}
+    # Dense indexes in ascending id order: the map is monotone, so the
+    # heap order and both tie rules are those of the ids.
+    by_id = {n.id: n for n in nodes}
+    ids = sorted(by_id)
+    index = {i: k for k, i in enumerate(ids)}
+    is_sink = [by_id[i].is_sink for i in ids]
+    initial = [by_id[i].energy for i in ids]
+    remaining = list(initial)
+    origins = [(index[i], by_id[i]) for i in ids if by_id[i].rate > 0]
+    groups = [_weight_groups(links, i, index) for i in ids]
+    tx = [dynamic_cost(e, e, params.beta1) for e in initial]
+    helper = [dynamic_cost(e, e, params.beta2) for e in initial]
 
     for rnd in range(max_rounds):
-        packets = [(o, traffic(rng, nodes_by_id[o])) for o in origins]
-        emitted = sum(cnt for _o, cnt in packets)
+        packets = [(k, traffic(rng, node)) for k, node in origins]
+        for k, count in packets:
+            if not isinstance(count, numbers.Integral) or count < 0:
+                raise ValueError(
+                    f"traffic gave node {ids[k]} {count!r} packets; "
+                    "a packet count must be a nonnegative integer"
+                )
+        emitted = sum(count for _k, count in packets)
         if emitted == 0:
             continue
         delivered = 0
         for origin, count in packets:
             for _ in range(count):
-                path = _least_cost_path(origin, sinks, out_edges, tx, helper)
+                path = _least_cost_path(origin, is_sink, groups, tx, helper)
                 if path is None:
                     return rnd + delivered / emitted
-                for i, _j, helpers in path:
+                for i, helpers in path:
                     for k in (i, *helpers):
                         remaining[k] -= 1.0
                         tx[k] = dynamic_cost(initial[k], remaining[k], params.beta1)

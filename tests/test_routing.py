@@ -12,6 +12,7 @@ from wsnlife.harness import generate_topology
 from wsnlife.lpsolver import solve_lp
 from wsnlife.routing import (
     CostParams,
+    LinkSet,
     NoRouteError,
     SensorNode,
     build_links,
@@ -425,6 +426,16 @@ def reference_simulate(nodes, links, params=CostParams(), traffic=None, seed=0, 
     return float(max_rounds)
 
 
+def assert_matches_reference(nodes, links, rng, traffic, seed):
+    """simulate_dynamic == reference_simulate at the default exponents
+    and default traffic, then at random exponents with `traffic`."""
+    assert simulate_dynamic(nodes, links) == reference_simulate(nodes, links)
+    params = CostParams(float(rng.uniform(0.3, 3.0)), float(rng.uniform(0.3, 3.0)))
+    assert simulate_dynamic(nodes, links, params, traffic, seed=seed) == reference_simulate(
+        nodes, links, params, traffic, seed=seed
+    )
+
+
 class TestDynamicCost:
     def test_full_energy_direct(self):
         # a direct link costs its transmitter's term alone: 1.0 at full energy
@@ -511,6 +522,52 @@ class TestSimulateDynamic:
             assert simulate_dynamic(nodes, links, params, traffic, seed=k) == reference_simulate(
                 nodes, links, params, traffic, seed=k
             )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sparse_shuffled_ids_two_sinks(self, phy, seed):
+        # ids 1000 - 37k, listed in shuffled order, with a second sink:
+        # the dense index map must keep the id order that breaks ties
+        # between predecessors and between equally cheap sinks
+        rng = np.random.default_rng(100 + seed)
+        traffic = lambda g, node: g.integers(0, 3)  # numpy integers
+        for k in range(10):
+            n = int(rng.integers(8, 17))
+            nodes = [
+                replace(v, id=1000 - 37 * v.id, energy=float(rng.uniform(1.0, 3.0 * n)))
+                for v in generate_topology(n, 90.0, int(rng.integers(2**31)))
+            ]
+            second = int(rng.integers(1, n))
+            nodes[second] = replace(nodes[second], rate=-1.0)
+            nodes = [nodes[i] for i in rng.permutation(n)]
+            assert_matches_reference(nodes, build_links(nodes, phy), rng, traffic, k)
+
+    def test_hand_built_links_mixed_helper_tuples(self):
+        # build_links only makes single-helper links; here transmitter
+        # 5 has coop links under (2, 3), (6,) and (7,), and helper 7
+        # starts below one unit, so its links cost infinity
+        direct = {(2, 1), (3, 1), (2, 3), (3, 2), (4, 2), (4, 3), (5, 4),
+                  (6, 4), (6, 5), (7, 4), (8, 2), (8, 6)}
+        coop = {(5, 1): (2, 3), (5, 2): (6,), (5, 3): (6,), (5, 8): (7,), (6, 1): (4, 5)}
+        links = LinkSet(direct=frozenset(direct), coop=coop)
+        rng = np.random.default_rng(7)
+        traffic = lambda g, node: 0 if node.id == 7 else int(g.integers(0, 3))
+        for k in range(20):
+            nodes = [SensorNode(id=1, x=0.0, y=0.0, rate=-7.0)] + [
+                SensorNode(id=i, x=float(i), y=0.0, rate=0.0 if i == 7 else 1.0,
+                           energy=0.5 if i == 7 else float(rng.uniform(1.0, 12.0)))
+                for i in range(2, 9)
+            ]
+            assert_matches_reference(nodes, links, rng, traffic, k)
+
+    @pytest.mark.parametrize("bad", [-1, 1.5, 2.0])
+    def test_bad_packet_count_raises(self, phy, bad):
+        # node 1 sends one packet a round and node 2 `bad`; at -1 the
+        # counts sum to zero, which must not pass for an empty round
+        nodes = generate_topology(6, 60.0, 3)
+        links = build_links(nodes, phy)
+        traffic = lambda _rng, node: bad if node.id == 2 else int(node.id == 1)
+        with pytest.raises(ValueError, match="node 2 "):
+            simulate_dynamic(nodes, links, traffic=traffic, max_rounds=20000)
 
     def test_seed_determinism(self, phy, snapshot_nodes):
         links = build_links(snapshot_nodes, phy)
