@@ -159,6 +159,9 @@ def main(argv: list[str] | None = None) -> int:
             )
             _emit(table.to_csv(), args.out)
         elif args.command == "disk":
+            small = [b for b in args.b0 if not b >= 1.0]
+            if small:
+                raise ValueError(f"--b0 is b0/a0 and must be at least 1, got {small}")
             curves, summary = harness.run_disk(
                 b0_over_a0=args.b0,
                 a0=args.a0,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Hyp2F1Args, bessel_j0, hyp2f1_terminating
+from .numerics import ConvergenceError, Hyp2F1Args, bessel_j0, hyp2f1_terminating, integrate_1d
 
 __all__ = [
     "MU",
@@ -23,7 +23,9 @@ __all__ = [
     "UnreachableGainError",
     "cb_gain_bound",
     "cb_gain_monte_carlo",
+    "ct_azimuth_average",
     "ct_gain_closed_form",
+    "ct_gain_exact",
     "ct_gain_monte_carlo",
     "invert_cluster_size",
 ]
@@ -31,10 +33,20 @@ __all__ = [
 # Constant in the CB directivity lower bound N / (1 + MU * N * lambda / R).
 MU = 0.09332
 
-# Trials per chunk in the CT Monte Carlo loop; fixed so that results are
-# reproducible for a given seed independent of the total trial count's
-# batching.
-_CHUNK = 16384
+# Radius draws per chunk of the CT Monte Carlo (trials x relays).  Its
+# 64 KiB working arrays stay cache-resident and are reused from the
+# heap; at 4,096 trials x 9 relays (295 KB arrays) every temporary was
+# a fresh mapping that page-faulted, and the 12-radius analytic sweep
+# took 1.6x as long (2-vCPU x86-64 Linux).  The radii are one stream of
+# uniforms in trial order, so the chunk size changes only the summation
+# order of the result.
+_CT_DRAWS_PER_CHUNK = 2**13
+
+# Most terms the series of the CT azimuth average may take; it raises
+# ConvergenceError rather than return a truncated sum.
+_AZIMUTH_MAX_TERMS = 4096
+# Bound on the series' truncation error (its sum is at least 1).
+_AZIMUTH_TAIL_TOL = 2.0**-53
 
 # Node pairs per batch of the CB Monte Carlo (trials x N(N-1)/2),
 # which bounds its working memory.
@@ -122,7 +134,7 @@ class GainEstimate:
     """Scalar energy gain with the model that produced it."""
 
     value: float
-    mode: str  # cb-bound | ct-closed-form | monte-carlo
+    mode: str  # cb-bound | ct-closed-form | ct-exact | monte-carlo
     stderr: float = 0.0
 
     def __post_init__(self):
@@ -211,35 +223,93 @@ def ct_gain_closed_form(geom: ClusterGeometry, phy: PhyParams) -> GainEstimate:
     return GainEstimate(value=value, mode="ct-closed-form")
 
 
+def ct_azimuth_average(a2, alpha: float) -> np.ndarray:
+    """A = (1/2pi) * integral over psi of (1 + a^2 - 2a cos psi)^(-alpha/2),
+    the mean of (D/d)^alpha over the azimuth psi of a relay at distance
+    r = a*D from the disk center, elementwise in a2 = a^2 in [0, 1).
+
+    A = 2F1(alpha/2, alpha/2; 1; a^2), summed in the Euler form
+    (1-a^2)^(1-alpha) * 2F1(1-alpha/2, 1-alpha/2; 1; a^2) (DLMF 15.8.1),
+    whose terms are all nonnegative and whose series terminates for
+    even alpha: (1+a^2)/(1-a^2)^3 at alpha = 4.  Other alpha sum until
+    a tail bound taken at the largest a2 drops below 2^-53, and raise
+    ConvergenceError after _AZIMUTH_MAX_TERMS terms.
+    """
+    a2 = np.asarray(a2, dtype=float)
+    b = 1.0 - 0.5 * alpha
+    top = float(a2.max())
+    # a term at the largest a2 bounds that term at every a2
+    top_term = 1.0
+    total = np.ones_like(a2)
+    term = np.ones_like(a2)
+    for k in range(_AZIMUTH_MAX_TERMS):
+        ratio = ((b + k) / (k + 1)) ** 2
+        if ratio == 0.0:  # b = -k
+            break
+        term *= ratio * a2
+        total += term
+        top_term *= ratio * top
+        # once k + 2 >= alpha/4, every later term is at most a2 times the
+        # one before it, so the tail is at most term * a2 / (1 - a2)
+        if 4 * (k + 2) >= alpha and top_term * top / (1.0 - top) <= _AZIMUTH_TAIL_TOL:
+            break
+    else:
+        raise ConvergenceError(
+            f"azimuth average at a^2={top:.6g}, alpha={alpha:g} needs more than "
+            f"{_AZIMUTH_MAX_TERMS} series terms"
+        )
+    # exp/log: numpy's power is several times slower at negative exponents
+    return np.exp((1.0 - alpha) * np.log(1.0 - a2)) * total
+
+
+def _ct_relay_gain(u, geom: ClusterGeometry, phy: PhyParams) -> np.ndarray:
+    """A(r/D) * p(r) for a relay at radius r = R sqrt(u): its gain over
+    the direct link, averaged exactly over azimuth and over fading
+    (E|h|^2 = 1), where p(r) is the exact BPSK packet-success
+    probability of the source-relay hop."""
+    u = np.asarray(u, dtype=float)
+    noise_ratio = phy.noise * geom.r_disk**phy.alpha / phy.power
+    bit_ok = 0.5 + 0.5 / np.sqrt(1.0 + noise_ratio * u ** (0.5 * phy.alpha))
+    p_suc = np.exp(phy.packet_len * np.log(bit_ok))  # bit_ok**L, faster than power
+    return ct_azimuth_average((geom.r_disk / geom.dist) ** 2 * u, phy.alpha) * p_suc
+
+
+def ct_gain_exact(geom: ClusterGeometry, phy: PhyParams) -> GainEstimate:
+    """Average CT energy gain with no far-field or good-channel
+    approximation: 1 + (n-1) * integral_0^R (2r/R^2) A(r/D) p(r) dr,
+    taken over u = r^2/R^2 by adaptive quadrature (the estimand of
+    ct_gain_monte_carlo)."""
+    mean = integrate_1d(lambda u: float(_ct_relay_gain(u, geom, phy)), 0.0, 1.0)
+    return GainEstimate(value=1.0 + (geom.n - 1) * mean, mode="ct-exact")
+
+
 def ct_gain_monte_carlo(
     geom: ClusterGeometry, phy: PhyParams, trials: int, seed: int
 ) -> GainEstimate:
     """Average CT energy gain with no far-field or good-channel
     approximation.
 
-    The source sits at the disk center and contributes exactly 1.
-    Relays are drawn with radial density 2r/R^2, relay-destination
-    fading |h|^2 is exponential(1), and the packet-success probability
-    uses the exact BPSK expression in the relay radius.
+    The source sits at the disk center and contributes exactly 1.  Each
+    trial draws the n-1 relay radii (r^2 = R^2 u, u uniform, density
+    2r/R^2) and adds each relay's gain averaged exactly over azimuth and
+    over exponential(1) relay-destination fading, A(r/D) p(r) (see
+    _ct_relay_gain): a conditional expectation of the per-trial gain of
+    a full draw, with the same mean and a smaller spread.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    n, r_disk, dist = geom.n, geom.r_disk, geom.dist
-    p, s2, alpha, lpkt = phy.power, phy.noise, phy.alpha, phy.packet_len
+    n = geom.n
     if n == 1:
         return GainEstimate(value=1.0, mode="monte-carlo", stderr=0.0)
     rng = np.random.default_rng(seed)
     total = 0.0
     total_sq = 0.0
-    for start in range(0, trials, _CHUNK):
-        count = min(_CHUNK, trials - start)
-        u = rng.random((count, n - 1))
-        r = r_disk * np.sqrt(u)
-        psi = rng.random((count, n - 1)) * 2.0 * np.pi
-        h2 = rng.exponential(1.0, (count, n - 1))
-        d = np.sqrt(dist**2 + r**2 - 2.0 * r * dist * np.cos(psi))
-        p_suc = (0.5 + 0.5 * np.sqrt(p / (p + s2 * r**alpha))) ** lpkt
-        gains = 1.0 + (dist**alpha * d ** (-alpha) * h2 * p_suc).sum(axis=1)
+    chunk = max(1, _CT_DRAWS_PER_CHUNK // (n - 1))
+    for start in range(0, trials, chunk):
+        count = min(chunk, trials - start)
+        # one row per relay, so the sum over relays adds whole rows
+        u = np.ascontiguousarray(rng.random((count, n - 1)).T)
+        gains = 1.0 + _ct_relay_gain(u, geom, phy).sum(axis=0)
         total += gains.sum()
         total_sq += (gains * gains).sum()
     return _monte_carlo_estimate(total, total_sq, trials)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wsnlife import gainmodels
 from wsnlife.gainmodels import (
     MU,
     ApproximationDomainError,
@@ -11,10 +12,14 @@ from wsnlife.gainmodels import (
     PhyParams,
     cb_gain_bound,
     cb_gain_monte_carlo,
+    ct_azimuth_average,
     ct_gain_closed_form,
+    ct_gain_exact,
     ct_gain_monte_carlo,
     invert_cluster_size,
 )
+from wsnlife.harness import run_gain
+from wsnlife.numerics import ConvergenceError
 
 from test_numerics import hyp2f1_direct
 
@@ -169,6 +174,96 @@ class TestCtClosedForm:
         assert all(b > a for a, b in zip(powers, powers[1:]))
 
 
+def ct_full_reference(geom, phy, trials, seed):
+    """The former estimator: each trial draws every relay's radius,
+    azimuth and exponential(1) fading and sums (D/d)^alpha |h|^2 p(r).
+    Returns (mean, stderr)."""
+    n, r_disk, dist = geom.n, geom.r_disk, geom.dist
+    p, s2, alpha = phy.power, phy.noise, phy.alpha
+    rng = np.random.default_rng(seed)
+    values = []
+    for start in range(0, trials, 16384):
+        count = min(16384, trials - start)
+        r = r_disk * np.sqrt(rng.random((count, n - 1)))
+        psi = rng.random((count, n - 1)) * 2.0 * np.pi
+        h2 = rng.exponential(1.0, (count, n - 1))
+        d = np.sqrt(dist**2 + r**2 - 2.0 * r * dist * np.cos(psi))
+        p_suc = (0.5 + 0.5 * np.sqrt(p / (p + s2 * r**alpha))) ** phy.packet_len
+        values.append(1.0 + (dist**alpha * d ** (-alpha) * h2 * p_suc).sum(axis=1))
+    values = np.concatenate(values)
+    return values.mean(), values.std(ddof=1) / math.sqrt(trials)
+
+
+def azimuth_trapezoid(a, alpha, points=8192):
+    # the periodic trapezoid rule converges like a^points here
+    psi = np.arange(points) * (2.0 * np.pi / points)
+    return np.mean((1.0 + a * a - 2.0 * a * np.cos(psi)) ** (-alpha / 2.0))
+
+
+class TestCtAzimuthAverage:
+    @pytest.mark.parametrize("alpha", [2.0, 2.5, 3.0, 4.0, 5.5])
+    @pytest.mark.parametrize("a", [0.04, 0.5, 0.99])
+    def test_matches_trapezoid(self, alpha, a):
+        value = ct_azimuth_average(np.array([a * a]), alpha)[0]
+        assert value == pytest.approx(azimuth_trapezoid(a, alpha), rel=1e-11)
+
+    def test_alpha_four_closed_form(self):
+        a2 = np.linspace(0.0, 0.98, 50)
+        expected = (1.0 + a2) / (1.0 - a2) ** 3
+        np.testing.assert_allclose(ct_azimuth_average(a2, 4.0), expected, rtol=1e-14)
+
+    def test_elementwise_under_the_largest_argument(self):
+        # the stopping rule is taken at the largest a^2 of the array
+        a2 = np.array([0.0, 0.01, 0.3, 0.9])
+        joint = ct_azimuth_average(a2, 3.0)
+        alone = [ct_azimuth_average(np.array([x]), 3.0)[0] for x in a2]
+        np.testing.assert_allclose(joint, alone, rtol=1e-15)
+
+    def test_term_cap_raises(self):
+        with pytest.raises(ConvergenceError):
+            ct_azimuth_average(np.array([0.1, 0.9999]), 3.0)
+
+    def test_even_alpha_terminates_at_any_argument(self):
+        value = ct_azimuth_average(np.array([0.9999]), 6.0)[0]
+        assert value == pytest.approx((1.0 + 4 * 0.9999 + 0.9999**2) / 1e-4**5, rel=1e-9)
+
+
+def ct_simpson_alpha4(geom, phy, points=20001):
+    """Composite Simpson in r of (2r/R^2) A(r/D) p(r) with the alpha = 4
+    azimuth average (1+a^2)/(1-a^2)^3 and the BPSK success written out."""
+    r = np.linspace(0.0, geom.r_disk, points)
+    a2 = (r / geom.dist) ** 2
+    p_suc = (0.5 + 0.5 * np.sqrt(phy.power / (phy.power + phy.noise * r**4))) ** phy.packet_len
+    f = 2.0 * r / geom.r_disk**2 * (1.0 + a2) / (1.0 - a2) ** 3 * p_suc
+    weights = np.ones(points)
+    weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
+    mean = (r[1] - r[0]) / 3.0 * (weights * f).sum()
+    return 1.0 + (geom.n - 1) * mean
+
+
+class TestCtExact:
+    def test_single_node(self):
+        geom = ClusterGeometry(n=1, r_disk=10.0, dist=1000.0)
+        assert ct_gain_exact(geom, PhyParams()).value == 1.0
+
+    @pytest.mark.parametrize("r, expected", [(40.0, 8.431829), (70.0, 4.329299), (120.0, 2.134633)])
+    def test_matches_simpson(self, r, expected):
+        phy = PhyParams()
+        geom = ClusterGeometry(n=10, r_disk=r, dist=1000.0)
+        value = ct_gain_exact(geom, phy).value
+        assert value == pytest.approx(ct_simpson_alpha4(geom, phy), rel=1e-8)
+        assert value == pytest.approx(expected, abs=5e-7)
+
+    def test_closed_form_bias_is_pinned(self):
+        # far field and good channel together; the largest is 2.02% at 70 m
+        phy = PhyParams()
+        for r in range(10, 121, 10):
+            geom = ClusterGeometry(n=10, r_disk=float(r), dist=1000.0)
+            exact = ct_gain_exact(geom, phy).value
+            cf = ct_gain_closed_form(geom, phy).value
+            assert abs(cf - exact) / exact <= 0.021, r
+
+
 class TestCtMonteCarlo:
     def test_single_node(self):
         phy = PhyParams()
@@ -179,8 +274,8 @@ class TestCtMonteCarlo:
         phy = PhyParams()
         geom = ClusterGeometry(n=10, r_disk=1e-6, dist=1000.0)
         est = ct_gain_monte_carlo(geom, phy, 20000, seed=5)
-        # relays essentially at the source: gain -> N up to fading noise
-        assert est.value == pytest.approx(10.0, abs=5.0 * est.stderr)
+        # relays at the source: gain N, with no fading noise left
+        assert est.value == 10.0 and est.stderr == 0.0
 
     def test_seed_determinism(self):
         phy = PhyParams()
@@ -189,15 +284,44 @@ class TestCtMonteCarlo:
         b = ct_gain_monte_carlo(geom, phy, 2000, seed=9)
         assert a.value == b.value and a.stderr == b.stderr
 
+    def test_chunks_keep_the_trial_order(self, monkeypatch):
+        phy = PhyParams(alpha=3.0)
+        geom = ClusterGeometry(n=7, r_disk=60.0, dist=400.0)
+        whole = ct_gain_monte_carlo(geom, phy, 3000, seed=21)
+        monkeypatch.setattr(gainmodels, "_CT_DRAWS_PER_CHUNK", 6 * 7)
+        chunked = ct_gain_monte_carlo(geom, phy, 3000, seed=21)
+        assert chunked.value == pytest.approx(whole.value, rel=1e-13)
+        assert chunked.stderr == pytest.approx(whole.stderr, rel=1e-9)
+
     @pytest.mark.parametrize("n", [2, 5, 10])
-    def test_agrees_with_closed_form(self, n):
-        # far-field / good-channel regime, > 20 points over the grid
+    def test_agrees_with_exact(self, n):
         phy = PhyParams()
         for i, r in enumerate((20.0, 35.0, 50.0, 65.0, 80.0, 95.0, 100.0)):
             geom = ClusterGeometry(n=n, r_disk=r, dist=max(1000.0, 10.0 * r))
-            cf = ct_gain_closed_form(geom, phy).value
+            exact = ct_gain_exact(geom, phy).value
             mc = ct_gain_monte_carlo(geom, phy, 2000, seed=100 + i)
-            assert abs(cf - mc.value) <= 3.0 * mc.stderr, (n, r)
+            assert abs(exact - mc.value) <= 3.0 * mc.stderr, (n, r)
+
+    def test_sweep_agrees_with_exact(self):
+        # the 12 radii of the bench's CT sweep, at the CLI's default seed
+        phy = PhyParams()
+        radii = tuple(float(r) for r in range(10, 121, 10))
+        table = run_gain(phy, "ct", n=10, dist=1000.0, radii=radii, trials=10**5, seed=0)
+        for row in table.rows:
+            exact = ct_gain_exact(ClusterGeometry(n=10, r_disk=row[2], dist=1000.0), phy).value
+            assert abs(row[5] - exact) <= 3.0 * row[6], row[2]
+
+    @pytest.mark.parametrize("r", [40.0, 100.0])
+    def test_matches_full_simulation(self, r):
+        # the same mean as drawing azimuth and fading too, within the
+        # two estimates' joint 3 sigma, and both at the exact average
+        phy = PhyParams()
+        geom = ClusterGeometry(n=10, r_disk=r, dist=1000.0)
+        ref, ref_err = ct_full_reference(geom, phy, 10**6, seed=31)
+        est = ct_gain_monte_carlo(geom, phy, 10**6, seed=32)
+        assert abs(ref - est.value) <= 3.0 * math.hypot(ref_err, est.stderr)
+        assert abs(ref - ct_gain_exact(geom, phy).value) <= 3.0 * ref_err
+        assert est.stderr < ref_err
 
 
 class TestInvertClusterSize:

@@ -166,6 +166,13 @@ class TestCli:
         header = [l for l in lines if not l.startswith("#")][0]
         assert header.split(",")[0] == "b0_over_a0"
 
+    @pytest.mark.parametrize("b0", [["0.5"], ["2", "0.99"], ["nan"]])
+    def test_disk_radius_below_one_hop_is_an_error(self, capsys, b0):
+        assert cli.main(["disk", "--b0", *b0, "--grid", "20"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --b0 ") and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("pure", [False, True])
     def test_disk_ct_defaults_mark_unreachable_rings(self, tmp_path, pure):
         # the CT model cannot reach the gain the rings of b0/a0 = 10 from
