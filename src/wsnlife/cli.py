@@ -2,7 +2,9 @@
 
 Subcommands: gain, disk, lp, simulate, compare.  dB/dBm values are
 accepted on the command line and converted to linear internally.
-A JSON --config file may override any flag defaults.
+Only the flags that were given reach the library: a flag left unset
+keeps the default of the function it feeds.  A JSON --config file may
+set any flag, and beats the same flag on the command line.
 """
 
 from __future__ import annotations
@@ -16,21 +18,23 @@ from .lpsolver import SimplexError
 from .numerics import ConvergenceError
 from .routing import CostParams, NoRouteError, build_links, simulate_dynamic, solve_lifetime_lp
 
+# physical-layer flag dest -> (PhyParams field, conversion to its unit)
+_PHY_FLAGS = {
+    "power_dbm": ("power", harness.dbm_to_watts),
+    "noise_dbm": ("noise", harness.dbm_to_watts),
+    "alpha": ("alpha", float),
+    "snr_db": ("snr_min", harness.db_to_linear),
+    "wavelength": ("wavelength", float),
+    "density": ("density", float),
+    "packet_len": ("packet_len", int),
+}
 
-def _phy_from_args(args) -> "harness.PhyParams":
+
+def _phy_from_args(given: dict) -> "harness.PhyParams":
     """The PhyParams defaults, overridden by each physical-layer flag
-    that was given."""
-    given = {
-        "power": (args.power_dbm, harness.dbm_to_watts),
-        "noise": (args.noise_dbm, harness.dbm_to_watts),
-        "alpha": (args.alpha, float),
-        "snr_min": (args.snr_db, harness.db_to_linear),
-        "wavelength": (args.wavelength, float),
-        "density": (args.density, float),
-        "packet_len": (args.packet_len, int),
-    }
+    that was given; those flags are taken out of given."""
     return harness.default_phy(
-        **{name: convert(value) for name, (value, convert) in given.items() if value is not None}
+        **{field: conv(given.pop(dest)) for dest, (field, conv) in _PHY_FLAGS.items() if dest in given}
     )
 
 
@@ -44,66 +48,63 @@ def _add_phy_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--packet-len", type=int)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="wsnlife")
-    parser.add_argument("--config", help="JSON file overriding flag defaults")
-    parser.add_argument("--seed", type=int, default=0)
+    """Every flag's dest is the name of the library parameter it sets,
+    and an unset flag leaves no attribute (argparse.SUPPRESS)."""
+    parser = argparse.ArgumentParser(prog="wsnlife", argument_default=argparse.SUPPRESS)
+    parser.add_argument("--config", help="JSON file of flag values; they beat the command line")
+    parser.add_argument("--seed", type=int)
     parser.add_argument("--out", help="output path (stdout if omitted)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gain", help="CB/CT gain sweep (closed form vs Monte Carlo)")
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+
+    p = command("gain", "CB/CT gain sweep (closed form vs Monte Carlo)")
     p.add_argument("kind", choices=["cb", "ct"])
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--radius", type=float, nargs="+", default=list(range(10, 101, 10)))
-    p.add_argument("--dist", type=float, default=1000.0)
-    p.add_argument("--trials", type=int, default=10**5)
+    p.add_argument("--n", type=int)
+    p.add_argument("--radius", dest="radii", type=float, nargs="+")
+    p.add_argument("--dist", type=float)
+    p.add_argument("--trials", type=int)
     _add_phy_flags(p)
 
-    p = sub.add_parser("disk", help="2D-disk bypass analysis and summary table")
-    p.add_argument("--b0", type=float, nargs="+", default=[2.0, 4.0, 6.0, 8.0, 10.0])
-    p.add_argument("--a0", type=float, default=1.0)
-    p.add_argument("--grid", type=int, default=100)
-    p.add_argument("--mode", choices=["cb", "ct", "ideal"], default="ideal")
+    p = command("disk", "2D-disk bypass analysis and summary table")
+    p.add_argument("--b0", dest="b0_over_a0", type=float, nargs="+")
+    p.add_argument("--a0", type=float)
+    p.add_argument("--grid", type=int)
+    p.add_argument("--mode", choices=["cb", "ct", "ideal"])
     p.add_argument("--pure", action="store_true", help="emit the pure CB/CT curve")
     p.add_argument("--summary-only", action="store_true")
     _add_phy_flags(p)
 
-    p = sub.add_parser("lp", help="max-min lifetime LP on a topology file")
+    p = command("lp", "max-min lifetime LP on a topology file")
     p.add_argument("--topology", required=True)
-    p.add_argument("--no-coop", action="store_true")
+    p.add_argument("--no-coop", dest="with_coop", action="store_false")
     _add_phy_flags(p)
 
-    p = sub.add_parser("simulate", help="dynamic-cost heuristic on a topology file")
+    p = command("simulate", "dynamic-cost heuristic on a topology file")
     p.add_argument("--topology", required=True)
-    p.add_argument("--beta1", type=float, default=2.0)
-    p.add_argument("--beta2", type=float, default=2.0)
+    p.add_argument("--beta1", type=float)
+    p.add_argument("--beta2", type=float)
     _add_phy_flags(p)
 
-    p = sub.add_parser("compare", help="three-algorithm lifetime comparison")
-    p.add_argument("--counts", type=int, nargs="+", default=[10, 15, 20, 25, 30])
-    p.add_argument("--instances", type=int, default=50)
-    p.add_argument("--field", type=float, default=100.0)
-    p.add_argument("--workers", type=int, default=1)
+    p = command("compare", "three-algorithm lifetime comparison")
+    p.add_argument("--counts", type=int, nargs="+")
+    p.add_argument("--instances", type=int)
+    p.add_argument("--field", dest="field_size", type=float)
+    p.add_argument("--workers", type=int)
     _add_phy_flags(p)
 
     return parser
 
 
 def _config_value(parser: argparse.ArgumentParser, key: str, action: argparse.Action, value):
-    """Convert one --config override as argparse would convert the same
+    """Convert one --config value as argparse would convert the same
     value given on the command line, or stop with a one-line error."""
-    if action.nargs == 0:  # store_true
+    if action.nargs == 0:  # store_true / store_false
         if not isinstance(value, bool):
             parser.error(f"config key {key!r} expects true or false, got {value!r}")
-        return value
+        return action.const if value else not action.const
     listed = action.nargs in ("+", "*")
     if listed != isinstance(value, list) or (action.nargs == "+" and not value):
         parser.error(f"config key {key!r} expects {'a list' if listed else 'one value'}, got {value!r}")
@@ -121,82 +122,65 @@ def _config_value(parser: argparse.ArgumentParser, key: str, action: argparse.Ac
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
     args = parser.parse_args(argv)
-    if args.config:
+    if getattr(args, "config", None):
         try:
             with open(args.config) as fh:
-                overrides = json.load(fh)
+                values = json.load(fh)
         except (OSError, ValueError) as exc:
             parser.error(f"--config: {exc}")
-        if not isinstance(overrides, dict):
+        if not isinstance(values, dict):
             parser.error("--config: expected a JSON object")
-        actions = {}  # dest -> action, global flags and the chosen subcommand's
-        for action in parser._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                actions.update((a.dest, a) for a in action.choices[args.command]._actions)
-            else:
-                actions[action.dest] = action
-        for key, value in overrides.items():
-            attr = key.replace("-", "_")
-            if attr not in actions or not hasattr(args, attr):
+        # Config keys are flag names without the dashes (a positional's
+        # dest), for the global flags and the chosen subcommand's.
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        actions = {}
+        for action in parser._actions + sub.choices[args.command]._actions:
+            if not isinstance(action, (argparse._HelpAction, argparse._SubParsersAction)):
+                names = action.option_strings or [action.dest]
+                actions.update((name.lstrip("-"), action) for name in names)
+        for key, value in values.items():
+            action = actions.get(key.replace("_", "-"))
+            if action is None:
                 parser.error(f"unknown config key {key!r}")
-            setattr(args, attr, _config_value(parser, key, actions[attr], value))
+            setattr(args, action.dest, _config_value(parser, key, action, value))
     return args
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = _apply_config(parser, sys.argv[1:] if argv is None else argv)
+    given = vars(_apply_config(parser, sys.argv[1:] if argv is None else argv))
+    command = given.pop("command")
+    out = given.pop("out", None)
+    given.pop("config", None)
     try:
-        if args.command == "gain":
-            table = harness.run_gain(
-                _phy_from_args(args),
-                kind=args.kind,
-                n=args.n,
-                dist=args.dist,
-                radii=args.radius,
-                trials=args.trials,
-                seed=args.seed,
-            )
-            _emit(table.to_csv(), args.out)
-        elif args.command == "disk":
-            small = [b for b in args.b0 if not b >= 1.0]
+        phy = _phy_from_args(given)
+        if command == "gain":
+            text = harness.run_gain(phy=phy, **given).to_csv()
+        elif command == "compare":
+            text = harness.run_compare(phy=phy, **given).to_csv()
+        elif command == "disk":
+            given.pop("seed", None)  # the disk analysis draws nothing at random
+            summary_only = given.pop("summary_only", False)
+            small = [b for b in given.get("b0_over_a0", ()) if not b >= 1.0]
             if small:
                 raise ValueError(f"--b0 is b0/a0 and must be at least 1, got {small}")
-            curves, summary = harness.run_disk(
-                b0_over_a0=args.b0,
-                a0=args.a0,
-                grid=args.grid,
-                mode=args.mode,
-                phy=_phy_from_args(args),
-                pure=args.pure,
-            )
-            text = summary.to_csv() if args.summary_only else curves.to_csv() + summary.to_csv()
-            _emit(text, args.out)
-        elif args.command == "lp":
-            nodes = harness.load_topology(args.topology)
-            links = build_links(nodes, _phy_from_args(args))
-            solution = solve_lifetime_lp(nodes, links, with_coop=not args.no_coop)
-            _emit(harness.flow_solution_to_json(solution), args.out)
-        elif args.command == "simulate":
-            nodes = harness.load_topology(args.topology)
-            links = build_links(nodes, _phy_from_args(args))
-            lifetime = simulate_dynamic(
-                nodes,
-                links,
-                CostParams(beta1=args.beta1, beta2=args.beta2),
-                seed=args.seed,
-            )
-            _emit(json.dumps({"lifetime_rounds": lifetime}) + "\n", args.out)
-        elif args.command == "compare":
-            table = harness.run_compare(
-                counts=args.counts,
-                instances=args.instances,
-                field_size=args.field,
-                phy=_phy_from_args(args),
-                seed=args.seed,
-                workers=args.workers,
-            )
-            _emit(table.to_csv(), args.out)
+            curves, summary = harness.run_disk(phy=phy, **given)
+            text = summary.to_csv() if summary_only else curves.to_csv() + summary.to_csv()
+        else:
+            nodes = harness.load_topology(given.pop("topology"))
+            links = build_links(nodes, phy)
+            if command == "lp":
+                given.pop("seed", None)  # the LP draws nothing at random
+                text = harness.flow_solution_to_json(solve_lifetime_lp(nodes, links, **given))
+            else:
+                betas = {name: given.pop(name) for name in ("beta1", "beta2") if name in given}
+                lifetime = simulate_dynamic(nodes, links, CostParams(**betas), **given)
+                text = json.dumps({"lifetime_rounds": lifetime}) + "\n"
+        if out:
+            with open(out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (NoRouteError, SimplexError, ConvergenceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -40,8 +40,8 @@ class DiskScenario:
     phy: PhyParams = PhyParams()
 
     def __post_init__(self):
-        if self.b0 <= 0 or self.a0 <= 0:
-            raise ValueError("disk radius and hop range must be positive")
+        if not (0 < self.b0 < math.inf and 0 < self.a0 < math.inf):
+            raise ValueError(f"disk radius {self.b0} and hop range {self.a0} must be positive and finite")
         if self.grid < 2:
             raise ValueError("need at least two rings")
         if self.mode not in ("cb", "ct", "ideal"):

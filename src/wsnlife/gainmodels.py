@@ -94,15 +94,16 @@ class PhyParams:
     snr_min: float = db_to_linear(10.0)
 
     def __post_init__(self):
-        if self.power <= 0 or self.noise <= 0 or self.c0 <= 0:
+        # written so that NaN fails every check
+        if not (self.power > 0 and self.noise > 0 and self.c0 > 0):
             raise ValueError("power, noise and c0 must be positive")
-        if self.alpha < 2:
+        if not self.alpha >= 2:
             raise ValueError("path-loss exponent must be at least 2")
-        if self.wavelength <= 0 or self.density <= 0:
+        if not (self.wavelength > 0 and self.density > 0):
             raise ValueError("wavelength and density must be positive")
-        if self.packet_len < 1:
+        if not self.packet_len >= 1:
             raise ValueError("packet length must be at least 1 symbol")
-        if self.snr_min <= 0:
+        if not self.snr_min > 0:
             raise ValueError("minimum SNR must be positive")
 
     def hop_range(self) -> float:
@@ -123,10 +124,10 @@ class ClusterGeometry:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("cluster must contain at least one node")
-        if self.r_disk <= 0:
-            raise ValueError("disk radius must be positive")
-        if self.dist <= self.r_disk:
-            raise ValueError("destination must lie outside the cluster disk")
+        if not 0 < self.r_disk < math.inf:
+            raise ValueError(f"disk radius must be positive and finite, got {self.r_disk}")
+        if not self.dist > self.r_disk:
+            raise ValueError(f"destination must lie outside the cluster disk, got dist {self.dist}")
 
 
 @dataclass(frozen=True)

@@ -90,6 +90,8 @@ def generate_topology(n: int, field_size: float, seed: int) -> list[SensorNode]:
     and rates, the sink absorbing everything."""
     if n < 2:
         raise ValueError("need at least a sensor and a sink")
+    if not 0 < field_size < math.inf:
+        raise ValueError(f"field size must be positive and finite, got {field_size}")
     rng = np.random.default_rng(seed)
     xy = rng.random((n, 2)) * field_size
     nodes = [SensorNode(id=0, x=float(xy[0, 0]), y=float(xy[0, 1]), rate=-(n - 1.0))]
@@ -209,9 +211,9 @@ def _spawn_seed(seed: int, index: int) -> int:
 def run_disk(
     b0_over_a0=(2.0, 4.0, 6.0, 8.0, 10.0),
     a0: float = 1.0,
-    grid: int = 100,
-    mode: str = "ideal",
-    phy: PhyParams | None = None,
+    grid: int = DiskScenario.grid,
+    mode: str = DiskScenario.mode,
+    phy: PhyParams = PhyParams(),
     pure: bool = False,
 ) -> tuple[ResultTable, ResultTable]:
     """Per-ring curves plus the summary table over disk sizes.
@@ -219,7 +221,6 @@ def run_disk(
     With pure=True the curve columns describe the everything-bypasses
     scheme instead of the joint optimum.
     """
-    phy = phy or default_phy()
     curves = ResultTable(
         columns=["b0_over_a0", "ring_radius", "p_r", "n_pf", "n_joint", "n_cluster"],
         metadata={"grid": grid, "mode": mode, "alpha": phy.alpha, "pure": pure},
@@ -262,7 +263,7 @@ def run_compare(
     counts=(10, 15, 20, 25, 30),
     instances: int = 50,
     field_size: float = 100.0,
-    phy: PhyParams | None = None,
+    phy: PhyParams = PhyParams(),
     seed: int = 0,
     workers: int = 1,
 ) -> ResultTable:
@@ -274,7 +275,10 @@ def run_compare(
     is fixed by instance index, so the table is identical for any
     worker count.
     """
-    phy = phy or default_phy()
+    if instances < 1:
+        raise ValueError(f"need at least one instance per node count, got {instances}")
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
     table = ResultTable(
         columns=["n", "instance", "shortest_path", "lp_no_coop", "lp_coop"],
         metadata={

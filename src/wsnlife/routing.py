@@ -100,7 +100,7 @@ class CostParams:
     beta2: float = 2.0
 
     def __post_init__(self):
-        if self.beta1 <= 0 or self.beta2 <= 0:
+        if not (self.beta1 > 0 and self.beta2 > 0):  # NaN fails too
             raise ValueError("cost exponents must be positive")
 
 

@@ -259,6 +259,85 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err == "error: solver gave up\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gain", "ct", "--radius", "nan"], "disk radius must be positive and finite, got nan"),
+            (["gain", "ct", "--radius", "inf"], "disk radius must be positive and finite, got inf"),
+            (["gain", "ct", "--dist", "nan"], "destination must lie outside the cluster disk"),
+            (["gain", "ct", "--alpha", "nan"], "path-loss exponent must be at least 2"),
+            (["gain", "ct", "--power-dbm", "nan"], "power, noise and c0 must be positive"),
+            (["disk", "--b0", "inf"], "disk radius inf and hop range 1.0 must be positive and finite"),
+            (["disk", "--a0", "nan"], "disk radius nan and hop range nan must be positive and finite"),
+            (["compare", "--field", "nan"], "field size must be positive and finite, got nan"),
+            (["compare", "--field", "-5"], "field size must be positive and finite, got -5.0"),
+            (["compare", "--instances", "0"], "need at least one instance per node count, got 0"),
+            (["compare", "--instances", "-3"], "need at least one instance per node count, got -3"),
+            (["compare", "--workers", "0"], "need at least one worker, got 0"),
+            (["simulate", "--beta1", "nan"], "cost exponents must be positive"),
+        ],
+    )
+    def test_bad_input_is_one_error_line(self, tmp_path, snapshot_nodes, capsys, argv, message):
+        topo = tmp_path / "topo.json"
+        harness.save_topology(snapshot_nodes, str(topo))
+        if argv[0] == "simulate":
+            argv = argv + ["--topology", str(topo)]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, forwarded",
+        [
+            (["gain", "ct"], {"kind": "ct"}),
+            (["gain", "ct", "--trials", "7"], {"kind": "ct", "trials": 7}),
+            (
+                ["--seed", "3", "gain", "cb", "--radius", "20", "40"],
+                {"kind": "cb", "seed": 3, "radii": [20.0, 40.0]},
+            ),
+            (["disk"], {}),
+            (
+                ["--seed", "3", "disk", "--b0", "4", "--pure", "--summary-only"],
+                {"b0_over_a0": [4.0], "pure": True},
+            ),
+            (["compare"], {}),
+            (["compare", "--field", "50", "--workers", "2"], {"field_size": 50.0, "workers": 2}),
+            (["simulate"], {}),
+            (["--seed", "5", "simulate"], {"seed": 5}),
+        ],
+    )
+    def test_forwards_only_the_flags_given(
+        self, tmp_path, snapshot_nodes, monkeypatch, argv, forwarded
+    ):
+        calls = []
+
+        def record(result):
+            def fake(*args, **kwargs):
+                calls.append(kwargs)
+                return result
+            return fake
+
+        table = harness.ResultTable(columns=["x"])
+        monkeypatch.setattr(harness, "run_gain", record(table))
+        monkeypatch.setattr(harness, "run_disk", record((table, table)))
+        monkeypatch.setattr(harness, "run_compare", record(table))
+        monkeypatch.setattr(cli, "simulate_dynamic", record(1.0))
+        topo = tmp_path / "topo.json"
+        harness.save_topology(snapshot_nodes, str(topo))
+        if "simulate" in argv:
+            argv = argv + ["--topology", str(topo)]
+        assert cli.main(argv) == 0
+        if "simulate" in argv:
+            assert calls == [forwarded]
+        else:
+            assert calls == [{**forwarded, "phy": harness.PhyParams()}]
+
+    def test_gain_output_is_the_library_table(self, capsys):
+        assert cli.main(["gain", "ct", "--radius", "30", "--trials", "200"]) == 0
+        expected = harness.run_gain(harness.PhyParams(), "ct", radii=(30.0,), trials=200).to_csv()
+        assert capsys.readouterr().out == expected
+
     def test_simulate_subcommand(self, tmp_path, snapshot_nodes):
         topo = tmp_path / "topo.json"
         harness.save_topology(snapshot_nodes, str(topo))
