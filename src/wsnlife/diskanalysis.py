@@ -48,12 +48,8 @@ class DiskScenario:
             raise ValueError(f"unknown mode {self.mode!r}")
 
     def rings(self) -> list[float]:
-        return [self.b0 * k / self.grid for k in range(1, self.grid + 1)]
-
-    def ring_index(self, radius: float) -> int:
-        """Index of the grid ring nearest to the given radius."""
-        k = round(radius * self.grid / self.b0)
-        return min(max(k, 1), self.grid) - 1
+        # b0*k/grid can round one ulp above b0 at k = grid
+        return [min(self.b0 * k / self.grid, self.b0) for k in range(1, self.grid + 1)]
 
 
 @dataclass(frozen=True)
@@ -78,21 +74,44 @@ class BypassProfile:
         return max(self.n_pf)
 
 
+def _check_radius(b: float, scenario: DiskScenario) -> None:
+    if not 0 < b <= scenario.b0:
+        raise ValueError("radius must lie in (0, b0]")
+
+
+def _chain(b: float, scenario: DiskScenario) -> list[tuple[int, float]]:
+    """Relay chain of a node at radius b: for each hop n = 1 .. hops
+    outward, the index of the grid ring nearest to b + n*a0 and the
+    weight 1 + n*a0/b of the traffic from there per node at b."""
+    b0, a0, grid = scenario.b0, scenario.a0, scenario.grid
+    return [
+        (min(max(round((b + n * a0) * grid / b0), 1), grid) - 1, 1.0 + n * a0 / b)
+        for n in range(1, int((b0 - b) / a0) + 1)
+    ]
+
+
+def _load(chain: list[tuple[int, float]], p_r: Sequence[float]) -> float:
+    """Packets a node transmits: its own, plus the traffic of each hop
+    of its chain that no ring on the way in has bypassed."""
+    total = survive = 1.0
+    for k, weight in chain:
+        survive *= 1.0 - p_r[k]
+        total += weight * survive
+    return total
+
+
 def npf(b: float, scenario: DiskScenario) -> float:
     """Transmissions per node at radius b under pure packet
     forwarding: the node's own packet plus its share of all traffic
     funneling inward through its ring."""
-    if b <= 0:
-        raise ValueError("radius must be positive")
-    hops = int((scenario.b0 - b) / scenario.a0)
-    return sum(1.0 + n * scenario.a0 / b for n in range(hops + 1))
+    _check_radius(b, scenario)
+    return _load(_chain(b, scenario), [0.0] * scenario.grid)
 
 
 def cluster_size_for_ring(b: float, scenario: DiskScenario) -> int:
     """Cluster size needed at radius b to reach the sink in one shot,
     or 0 where the mode's gain model cannot reach it (the ring forwards)."""
-    if b <= 0 or b > scenario.b0:
-        raise ValueError("radius must lie in (0, b0]")
+    _check_radius(b, scenario)
     target = max(b / scenario.a0, 1.0) ** scenario.phy.alpha
     try:
         return invert_cluster_size(target, scenario.mode, scenario.phy)
@@ -100,17 +119,29 @@ def cluster_size_for_ring(b: float, scenario: DiskScenario) -> int:
         return 0
 
 
-def _load(b: float, p_r: Sequence[float], scenario: DiskScenario) -> float:
-    """Number of packets a node at radius b must transmit, given the
-    bypass probabilities of the rings outside it."""
-    hops = int((scenario.b0 - b) / scenario.a0)
-    total = 0.0
-    survive = 1.0
-    for n in range(hops + 1):
-        if n:
-            survive *= 1.0 - p_r[scenario.ring_index(b + n * scenario.a0)]
-        total += (1.0 + n * scenario.a0 / b) * survive
-    return total
+def _tables(scenario: DiskScenario, cluster_sizes: Sequence[int] | None = None):
+    """Rings, relay chains, cluster sizes (inverted unless given) and
+    pure-forwarding loads, built once per profile."""
+    rings = scenario.rings()
+    chains = [_chain(b, scenario) for b in rings]
+    if cluster_sizes is None:
+        cluster_sizes = [cluster_size_for_ring(b, scenario) for b in rings]
+    no_bypass = [0.0] * len(rings)
+    return rings, chains, list(cluster_sizes), [_load(chain, no_bypass) for chain in chains]
+
+
+def _sweep(p_r: list[float], chains, cluster_sizes, rule=None) -> tuple[list[float], list[float]]:
+    """Outermost-to-innermost sweep: each ring's load from the bypass
+    probabilities in p_r, then its own p_r[idx] = rule(load, cluster
+    size) if a rule is given, then its n_joint. Returns (n_joint, loads)."""
+    n_joint, loads = [0.0] * len(chains), [0.0] * len(chains)
+    for idx in range(len(chains) - 1, -1, -1):
+        load = loads[idx] = _load(chains[idx], p_r)
+        nc = cluster_sizes[idx]
+        if rule is not None:
+            p_r[idx] = rule(load, nc)
+        n_joint[idx] = (1.0 - p_r[idx] + nc * p_r[idx]) * load
+    return n_joint, loads
 
 
 def njoint_profile(
@@ -121,87 +152,54 @@ def njoint_profile(
     """Per-ring transmissions per node when each ring bypasses with
     its given probability.
 
-    cluster_sizes can be supplied to skip the gain-model inversion
-    (used by the optimizer and by tests).
+    cluster_sizes, if given, replace the gain-model inversion (tests use
+    it to force cluster sizes).
     """
-    rings = scenario.rings()
-    if len(p_r) != len(rings):
+    if len(p_r) != scenario.grid:
         raise ValueError("one bypass probability per ring required")
-    if cluster_sizes is None:
-        cluster_sizes = [cluster_size_for_ring(b, scenario) for b in rings]
-    out = []
-    for b, p, nc in zip(rings, p_r, cluster_sizes):
-        out.append((1.0 - p + nc * p) * _load(b, p_r, scenario))
-    return out
-
-
-def _feasibility_sweep(
-    kappa: float,
-    scenario: DiskScenario,
-    cluster_sizes: Sequence[int],
-) -> tuple[bool, list[float], list[float]]:
-    """Outermost-to-innermost greedy sweep: give every ring the largest
-    bypass probability that keeps it at or below the temperature."""
-    rings = scenario.rings()
-    g = len(rings)
-    p_r = [0.0] * g
-    n_joint = [0.0] * g
-    feasible = True
-    for idx in range(g - 1, -1, -1):
-        b = rings[idx]
-        load = _load(b, p_r, scenario)
-        nc = cluster_sizes[idx]
-        if nc > 1:
-            p_r[idx] = min(max((kappa / load - 1.0) / (nc - 1.0), 0.0), 1.0)
-        n_joint[idx] = (1.0 - p_r[idx] + nc * p_r[idx]) * load
-        if load > kappa * (1.0 + _FEASIBILITY_REL):
-            feasible = False
-    return feasible, p_r, n_joint
+    _, chains, sizes, _ = _tables(scenario, cluster_sizes)
+    return _sweep(list(p_r), chains, sizes)[0]
 
 
 def optimize_bypass(scenario: DiskScenario) -> BypassProfile:
     """Minimize the worst-ring transmission count over bypass
     probabilities, by bisection on the temperature."""
-    rings = scenario.rings()
-    cluster_sizes = [cluster_size_for_ring(b, scenario) for b in rings]
-    n_pf = [npf(b, scenario) for b in rings]
+    rings, chains, sizes, n_pf = _tables(scenario)
+
+    def greedy(kappa: float) -> tuple[bool, list[float], list[float]]:
+        """Give every ring, outermost first, the largest bypass
+        probability that keeps it at or below the temperature kappa:
+        (feasible, p_r, n_joint)."""
+        def rule(load: float, nc: int) -> float:
+            return min(max((kappa / load - 1.0) / (nc - 1.0), 0.0), 1.0) if nc > 1 else 0.0
+
+        p_r = [0.0] * len(rings)
+        n_joint, loads = _sweep(p_r, chains, sizes, rule)
+        return max(loads) <= kappa * (1.0 + _FEASIBILITY_REL), p_r, n_joint
+
     lo, hi = 1.0, max(n_pf)
     width_target = 1e-6 * hi
-    if not _feasibility_sweep(hi, scenario, cluster_sizes)[0]:
+    best = greedy(hi)
+    if not best[0]:
         raise RuntimeError("pure forwarding temperature infeasible (internal bug)")
     while hi - lo > width_target:
         mid = 0.5 * (lo + hi)
-        if _feasibility_sweep(mid, scenario, cluster_sizes)[0]:
-            hi = mid
+        trial = greedy(mid)
+        if trial[0]:
+            hi, best = mid, trial
         else:
             lo = mid
-    _, p_r, n_joint = _feasibility_sweep(hi, scenario, cluster_sizes)
-    return BypassProfile(
-        rings=tuple(rings),
-        p_r=tuple(p_r),
-        n_pf=tuple(n_pf),
-        n_joint=tuple(n_joint),
-        n_cluster=tuple(cluster_sizes),
-        kappa=hi,
-    )
+    _, p_r, n_joint = best
+    return BypassProfile(tuple(rings), tuple(p_r), tuple(n_pf), tuple(n_joint), tuple(sizes), hi)
 
 
 def pure_bypass_profile(scenario: DiskScenario) -> BypassProfile:
     """Profile of the pure CB/CT scheme: every node clusters straight
     to the sink, except on unreachable rings (cluster size 0), which forward."""
-    rings = scenario.rings()
-    cluster_sizes = [cluster_size_for_ring(b, scenario) for b in rings]
-    p_r = [1.0 if nc else 0.0 for nc in cluster_sizes]
-    n_joint = njoint_profile(p_r, scenario, cluster_sizes)
-    n_pf = [npf(b, scenario) for b in rings]
-    return BypassProfile(
-        rings=tuple(rings),
-        p_r=tuple(p_r),
-        n_pf=tuple(n_pf),
-        n_joint=tuple(n_joint),
-        n_cluster=tuple(cluster_sizes),
-        kappa=max(n_joint),
-    )
+    rings, chains, sizes, n_pf = _tables(scenario)
+    p_r = [1.0 if nc else 0.0 for nc in sizes]
+    n_joint = _sweep(p_r, chains, sizes)[0]
+    return BypassProfile(tuple(rings), tuple(p_r), tuple(n_pf), tuple(n_joint), tuple(sizes), max(n_joint))
 
 
 def saving_percent(profile: BypassProfile) -> float:

@@ -95,16 +95,17 @@ class PhyParams:
 
     def __post_init__(self):
         # written so that NaN fails every check
-        if not (self.power > 0 and self.noise > 0 and self.c0 > 0):
-            raise ValueError("power, noise and c0 must be positive")
-        if not self.alpha >= 2:
-            raise ValueError("path-loss exponent must be at least 2")
-        if not (self.wavelength > 0 and self.density > 0):
-            raise ValueError("wavelength and density must be positive")
-        if not self.packet_len >= 1:
-            raise ValueError("packet length must be at least 1 symbol")
-        if not self.snr_min > 0:
-            raise ValueError("minimum SNR must be positive")
+        inf = math.inf
+        if not (0 < self.power < inf and 0 < self.noise < inf and 0 < self.c0 < inf):
+            raise ValueError("power, noise and c0 must be positive and finite")
+        if not 2 <= self.alpha < inf:
+            raise ValueError("path-loss exponent must be at least 2 and finite")
+        if not (0 < self.wavelength < inf and 0 < self.density < inf):
+            raise ValueError("wavelength and density must be positive and finite")
+        if not 1 <= self.packet_len < inf:
+            raise ValueError("packet length must be at least 1 symbol and finite")
+        if not 0 < self.snr_min < inf:
+            raise ValueError("minimum SNR must be positive and finite")
 
     def hop_range(self) -> float:
         """Maximum single-hop distance at which the SNR threshold is
@@ -132,10 +133,10 @@ class ClusterGeometry:
 
 @dataclass(frozen=True)
 class GainEstimate:
-    """Scalar energy gain with the model that produced it."""
+    """Scalar energy gain and, for a Monte Carlo estimate, its standard
+    error."""
 
     value: float
-    mode: str  # cb-bound | ct-closed-form | ct-exact | monte-carlo
     stderr: float = 0.0
 
     def __post_init__(self):
@@ -152,14 +153,14 @@ def _monte_carlo_estimate(total: float, total_sq: float, trials: int) -> GainEst
         stderr = math.sqrt(var / trials)
     else:
         stderr = 0.0
-    return GainEstimate(value=mean, mode="monte-carlo", stderr=stderr)
+    return GainEstimate(value=mean, stderr=stderr)
 
 
 def cb_gain_bound(geom: ClusterGeometry, phy: PhyParams) -> GainEstimate:
     """Tight lower bound on the average CB directivity of a random
     n-node disk array: n / (1 + MU * n * wavelength / r_disk)."""
     value = geom.n / (1.0 + MU * geom.n * phy.wavelength / geom.r_disk)
-    return GainEstimate(value=value, mode="cb-bound")
+    return GainEstimate(value=value)
 
 
 def cb_gain_monte_carlo(
@@ -180,7 +181,7 @@ def cb_gain_monte_carlo(
         raise ValueError("need at least one trial")
     n, r_disk, lam = geom.n, geom.r_disk, phy.wavelength
     if n == 1:
-        return GainEstimate(value=1.0, mode="monte-carlo", stderr=0.0)
+        return GainEstimate(value=1.0, stderr=0.0)
     rng = np.random.default_rng(seed)
     k0 = 2.0 * np.pi / lam
     first, second = np.triu_indices(n, 1)
@@ -221,7 +222,7 @@ def ct_gain_closed_form(geom: ClusterGeometry, phy: PhyParams) -> GainEstimate:
         a=2.0 / phy.alpha, L=phy.packet_len, c=(phy.alpha + 2.0) / phy.alpha, z=z
     )
     value = 1.0 + (geom.n - 1) * hyp2f1_terminating(args)
-    return GainEstimate(value=value, mode="ct-closed-form")
+    return GainEstimate(value=value)
 
 
 def ct_azimuth_average(a2, alpha: float) -> np.ndarray:
@@ -281,7 +282,7 @@ def ct_gain_exact(geom: ClusterGeometry, phy: PhyParams) -> GainEstimate:
     taken over u = r^2/R^2 by adaptive quadrature (the estimand of
     ct_gain_monte_carlo)."""
     mean = integrate_1d(lambda u: float(_ct_relay_gain(u, geom, phy)), 0.0, 1.0)
-    return GainEstimate(value=1.0 + (geom.n - 1) * mean, mode="ct-exact")
+    return GainEstimate(value=1.0 + (geom.n - 1) * mean)
 
 
 def ct_gain_monte_carlo(
@@ -301,7 +302,7 @@ def ct_gain_monte_carlo(
         raise ValueError("need at least one trial")
     n = geom.n
     if n == 1:
-        return GainEstimate(value=1.0, mode="monte-carlo", stderr=0.0)
+        return GainEstimate(value=1.0, stderr=0.0)
     rng = np.random.default_rng(seed)
     total = 0.0
     total_sq = 0.0

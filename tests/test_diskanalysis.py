@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 
 from wsnlife.diskanalysis import (
@@ -30,6 +33,49 @@ class TestNpf:
         sc = DiskScenario(b0=2.0, a0=1.0)
         with pytest.raises(ValueError):
             npf(0.0, sc)
+
+    @pytest.mark.parametrize("b", [2.5, 3.5, math.nan, -1.0])
+    def test_rejects_radius_outside_disk(self, b):
+        sc = DiskScenario(b0=2.0, a0=1.0)
+        with pytest.raises(ValueError, match=r"radius must lie in \(0, b0\]"):
+            npf(b, sc)
+
+    @pytest.mark.parametrize(
+        "b0, a0, grid", [(5.5, 1.0, 37), (4.3, 1.0, 13), (7.25, 2.5, 21), (10.0, 1.0, 100)]
+    )
+    def test_every_ring_matches_closed_form(self, b0, a0, grid):
+        # h relays lie outward of b, at b + n*a0 for n = 1 .. h:
+        # sum_{n=0..h} (1 + n*a0/b) = (h+1) + (a0/b) * h(h+1)/2
+        sc = DiskScenario(b0=b0, a0=a0, grid=grid)
+        for b in sc.rings():
+            h = _relays_inside(b, b0, a0)
+            assert npf(b, sc) == pytest.approx((h + 1) + (a0 / b) * h * (h + 1) / 2.0, rel=1e-12)
+
+
+def _relays_inside(b, b0, a0):
+    """Number of relay positions b + n*a0 (n >= 1) on the disk."""
+    h = 0
+    while b + (h + 1) * a0 <= b0:
+        h += 1
+    return h
+
+
+class TestRings:
+    @pytest.mark.parametrize("b0, grid", [(1.6, 3), (1.8, 37)])
+    def test_outermost_ring_lies_on_the_disk(self, b0, grid):
+        # b0*grid/grid rounds one ulp above b0 for these pairs
+        assert b0 * grid / grid > b0
+        sc = DiskScenario(b0=b0, a0=1.0, grid=grid)
+        assert sc.rings()[-1] == b0
+        assert optimize_bypass(sc).rings[-1] == b0
+        assert pure_bypass_profile(sc).rings[-1] == b0
+
+    def test_every_ring_inside_disk(self):
+        for hundredths in range(100, 401):
+            b0 = hundredths / 100
+            for grid in range(2, 60):
+                rings = DiskScenario(b0=b0, a0=1.0, grid=grid).rings()
+                assert 0 < rings[0] and rings[-1] <= b0 and rings == sorted(rings)
 
 
 class TestClusterSizeForRing:
@@ -72,6 +118,35 @@ class TestNjointProfile:
         # inner rings at 0.5 and 1.0 keep only their own packet
         assert nj[0] == pytest.approx(1.0, abs=1e-12)
         assert nj[1] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "b0, a0, grid, mode",
+        [(5.5, 1.0, 37, None), (4.3, 1.0, 13, None), (7.25, 2.5, 21, None), (3.7, 1.0, 9, "ideal")],
+    )
+    def test_random_bypass_matches_reference_loop(self, b0, a0, grid, mode):
+        rng = random.Random(grid)
+        sc = DiskScenario(b0=b0, a0=a0, grid=grid, mode=mode or "ideal")
+        rings = [b0 * k / grid for k in range(1, grid + 1)]
+        rings[-1] = b0
+        p_r = [rng.random() for _ in rings]
+        if mode is None:
+            sizes = [rng.randrange(0, 20) for _ in rings]
+            got = njoint_profile(p_r, sc, cluster_sizes=sizes)
+        else:
+            sizes = [math.ceil(max(b / a0, 1.0) ** 4 - 1e-9) for b in rings]
+            got = njoint_profile(p_r, sc)
+
+        def nearest(r):
+            gaps = sorted((abs(ring - r), k) for k, ring in enumerate(rings))
+            assert gaps[1][0] - gaps[0][0] > 1e-9  # no tie between two rings
+            return gaps[0][1]
+
+        for b, p, nc, value in zip(rings, p_r, sizes, got):
+            load, survive = 1.0, 1.0
+            for n in range(1, _relays_inside(b, b0, a0) + 1):
+                survive *= 1.0 - p_r[nearest(b + n * a0)]
+                load += (b + n * a0) / b * survive
+            assert value == pytest.approx((1.0 - p + nc * p) * load, rel=1e-12)
 
     def test_wrong_length_rejected(self):
         sc = DiskScenario(b0=2.0, a0=1.0)

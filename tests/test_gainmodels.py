@@ -24,6 +24,16 @@ from wsnlife.numerics import ConvergenceError
 from test_numerics import hyp2f1_direct
 
 
+class TestPhyParams:
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "field", ["power", "noise", "c0", "alpha", "wavelength", "density", "packet_len", "snr_min"]
+    )
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            PhyParams(**{field: value})
+
+
 class TestCbBound:
     def test_zero_wavelength_limit(self):
         phy = PhyParams(wavelength=1e-12)

@@ -275,6 +275,13 @@ class TestCli:
             (["compare", "--instances", "-3"], "need at least one instance per node count, got -3"),
             (["compare", "--workers", "0"], "need at least one worker, got 0"),
             (["simulate", "--beta1", "nan"], "cost exponents must be positive"),
+            (["gain", "ct", "--power-dbm", "inf"], "power, noise and c0 must be positive and finite"),
+            (["gain", "cb", "--wavelength", "inf"], "wavelength and density must be positive and finite"),
+            (["disk", "--alpha", "inf"], "path-loss exponent must be at least 2 and finite"),
+            (
+                ["disk", "--density", "inf", "--mode", "ct"],
+                "wavelength and density must be positive and finite",
+            ),
         ],
     )
     def test_bad_input_is_one_error_line(self, tmp_path, snapshot_nodes, capsys, argv, message):
