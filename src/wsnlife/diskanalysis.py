@@ -166,16 +166,16 @@ def optimize_bypass(scenario: DiskScenario) -> BypassProfile:
     probabilities, by bisection on the temperature."""
     rings, chains, sizes, n_pf = _tables(scenario)
 
-    def greedy(kappa: float) -> tuple[bool, list[float], list[float]]:
+    def greedy(kappa: float) -> tuple[bool, list[float]]:
         """Give every ring, outermost first, the largest bypass
         probability that keeps it at or below the temperature kappa:
-        (feasible, p_r, n_joint)."""
+        (feasible, p_r)."""
         def rule(load: float, nc: int) -> float:
             return min(max((kappa / load - 1.0) / (nc - 1.0), 0.0), 1.0) if nc > 1 else 0.0
 
         p_r = [0.0] * len(rings)
-        n_joint, loads = _sweep(p_r, chains, sizes, rule)
-        return max(loads) <= kappa * (1.0 + _FEASIBILITY_REL), p_r, n_joint
+        loads = _sweep(p_r, chains, sizes, rule)[1]
+        return max(loads) <= kappa * (1.0 + _FEASIBILITY_REL), p_r
 
     lo, hi = 1.0, max(n_pf)
     width_target = 1e-6 * hi
@@ -189,7 +189,10 @@ def optimize_bypass(scenario: DiskScenario) -> BypassProfile:
             hi, best = mid, trial
         else:
             lo = mid
-    _, p_r, n_joint = best
+    # n_joint from one sweep at the final p_r: where a first hop rounds onto
+    # its own ring (spacing above 2*a0), the greedy sweep read that p_r as 0.
+    p_r = best[1]
+    n_joint = _sweep(p_r, chains, sizes)[0]
     return BypassProfile(tuple(rings), tuple(p_r), tuple(n_pf), tuple(n_joint), tuple(sizes), hi)
 
 

@@ -74,10 +74,6 @@ class ResultTable:
             buf.write(",".join(_fmt(v) for v in row) + "\n")
         return buf.getvalue()
 
-    def write(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
-
 
 def _fmt(v) -> str:
     if isinstance(v, float):
@@ -139,8 +135,6 @@ def load_topology(path: str) -> list[SensorNode]:
             )
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: node {k}: {exc}") from None
-        if not all(math.isfinite(v) for v in (node.x, node.y, node.energy, node.rate)):
-            raise ValueError(f"{path}: node {node.id} has a non-finite value")
         nodes.append(node)
     ids = [n.id for n in nodes]
     if len(set(ids)) < len(ids):

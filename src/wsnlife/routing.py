@@ -46,6 +46,8 @@ class SensorNode:
     rate: float = 1.0  # negative at sinks
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.x, self.y, self.energy, self.rate)):
+            raise ValueError("non-finite position, energy or rate")
         if self.energy <= 0:
             raise ValueError("initial energy must be positive")
 
@@ -104,53 +106,49 @@ class CostParams:
             raise ValueError("cost exponents must be positive")
 
 
-def _distances(nodes: list[SensorNode]) -> dict[tuple[int, int], float]:
-    d = {}
-    for a in nodes:
-        for b in nodes:
-            if a.id < b.id:
-                dist = math.hypot(a.x - b.x, a.y - b.y)
-                if dist == 0.0:
-                    raise ValueError(f"nodes {a.id} and {b.id} share a position")
-                d[(a.id, b.id)] = d[(b.id, a.id)] = dist
-    return d
-
-
 def build_links(nodes: list[SensorNode], phy: PhyParams) -> LinkSet:
     """Direct links wherever the single-hop SNR threshold is met;
-    cooperative links from each node through its nearest neighbor to
-    targets whose combined received energy meets the threshold."""
+    cooperative links from each sensor through its nearest other sensor
+    (ties to the lower id) to targets whose combined received energy
+    meets the threshold.  All of it is read off one distance matrix
+    over the nodes in ascending id order."""
     if len(nodes) < 2:
         raise ValueError("need at least two nodes")
-    dist = _distances(nodes)
+    order = sorted(nodes, key=lambda n: n.id)
+    ids = [n.id for n in order]
+    x, y = np.array([(n.x, n.y) for n in order], dtype=float).T
+    dx, dy = x[:, None] - x, y[:, None] - y
+    # Correctly rounded where the squares sum exactly (integer
+    # coordinates, say), so equidistant nodes tie; np.hypot may not be.
+    dist = np.sqrt(dx * dx + dy * dy)
+    np.fill_diagonal(dist, np.inf)
+    shared = np.argwhere(dist == 0.0)
+    if len(shared):
+        i, j = shared[0].tolist()  # first in row-major order, so i < j
+        raise ValueError(f"nodes {ids[i]} and {ids[j]} share a position")
     a0 = phy.hop_range()
     threshold = phy.snr_min * phy.noise / (phy.power * phy.c0)  # on sum of d^-alpha
+    direct = dist <= a0
 
-    direct = set()
-    for a in nodes:
-        for b in nodes:
-            if a.id != b.id and dist[(a.id, b.id)] <= a0:
-                direct.add((a.id, b.id))
-
-    coop: dict[tuple[int, int], tuple[int, ...]] = {}
-    sensors = [n for n in nodes if not n.is_sink]
-    for src in sensors:
-        nearest = min(
-            ((dist[(src.id, other.id)], other.id) for other in sensors if other.id != src.id),
-            default=None,
-        )
-        if nearest is None:
-            continue
-        d_h, h = nearest
-        if d_h > a0:
-            continue  # helper cannot decode the source
-        for tgt in nodes:
-            if tgt.id == src.id or (src.id, tgt.id) in direct:
-                continue
-            combined = dist[(src.id, tgt.id)] ** -phy.alpha + dist[(h, tgt.id)] ** -phy.alpha
-            if combined >= threshold:
-                coop[(src.id, tgt.id)] = (h,)
-    return LinkSet(direct=frozenset(direct), coop=coop)
+    is_sink = np.array([n.is_sink for n in order])
+    to_sensor = np.where(is_sink, np.inf, dist)
+    # argmin takes the first minimum, the lowest id; a helper out of
+    # range cannot decode the source.
+    src = np.flatnonzero(~is_sink & (to_sensor.min(axis=1) <= a0))
+    helper = to_sensor.argmin(axis=1)[src]
+    with np.errstate(over="ignore"):  # inf only between near-coincident nodes, linked directly
+        power = dist ** -phy.alpha  # 0 on the diagonal
+    reach = (power[src] + power[helper] >= threshold) & ~direct[src]
+    reach[np.arange(len(src)), src] = False  # no link to the source itself
+    i, j = np.nonzero(direct)
+    k, t = np.nonzero(reach)
+    return LinkSet(
+        direct=frozenset((ids[a], ids[b]) for a, b in zip(i.tolist(), j.tolist())),
+        coop={
+            (ids[s], ids[m]): (ids[h],)
+            for s, h, m in zip(src[k].tolist(), helper[k].tolist(), t.tolist())
+        },
+    )
 
 
 def solve_lifetime_lp(

@@ -182,6 +182,15 @@ class TestOptimizeBypass:
         ]
         assert all(b >= a for a, b in zip(maxima, maxima[1:]))
 
+    @pytest.mark.parametrize("mode", ["ideal", "cb", "ct"])
+    @pytest.mark.parametrize("b0, grid", [(10.0, 3), (13.3, 5)])
+    def test_n_joint_is_that_of_the_final_bypass(self, b0, grid, mode):
+        # ring spacing above 2*a0: a ring's first hops round onto itself
+        sc = DiskScenario(b0=b0, a0=1.0, grid=grid, mode=mode)
+        profile = optimize_bypass(sc)
+        assert list(profile.n_joint) == njoint_profile(profile.p_r, sc)
+        assert profile.max_n_joint() <= profile.kappa * (1.0 + 1e-9)
+
     def test_no_range_gain_means_no_bypass(self):
         # force trivial clusters: bypassing cannot help, optimizer
         # falls back to pure forwarding

@@ -31,6 +31,14 @@ def two_node_net(phy, spacing):
     ]
 
 
+class TestSensorNode:
+    @pytest.mark.parametrize("field", ["x", "y", "energy", "rate"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            SensorNode(**{"id": 1, "x": 0.0, "y": 0.0, field: value})
+
+
 class TestBuildLinks:
     def test_two_nodes_in_range(self, phy):
         nodes = two_node_net(phy, 0.99)
@@ -46,10 +54,11 @@ class TestBuildLinks:
 
     def test_duplicate_positions_rejected(self, phy):
         nodes = [
-            SensorNode(id=1, x=0.0, y=0.0, rate=-1.0),
-            SensorNode(id=2, x=0.0, y=0.0, rate=1.0),
+            SensorNode(id=9, x=1.0, y=2.0),
+            SensorNode(id=4, x=0.0, y=0.0, rate=-1.0),
+            SensorNode(id=2, x=1.0, y=2.0),
         ]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^nodes 2 and 9 share a position$"):
             build_links(nodes, phy)
 
     def test_snapshot_adjacency(self, phy, snapshot_nodes):
@@ -63,6 +72,94 @@ class TestBuildLinks:
         # no direct sink reach from 3..6
         for i in (3, 4, 5, 6):
             assert (i, 1) not in links.direct
+
+
+def reference_links(nodes, phy):
+    """The double loop over id pairs that build_links replaced: a
+    distance per pair, a scan of all sensors for each source's nearest
+    one (ties to the lower id), a scan of all targets per source."""
+    dist = {}
+    for a in nodes:
+        for b in nodes:
+            if a.id < b.id:
+                dist[(a.id, b.id)] = dist[(b.id, a.id)] = math.hypot(a.x - b.x, a.y - b.y)
+    a0 = phy.hop_range()
+    threshold = phy.snr_min * phy.noise / (phy.power * phy.c0)
+    direct = {(a.id, b.id) for a in nodes for b in nodes if a.id != b.id and dist[(a.id, b.id)] <= a0}
+    coop = {}
+    sensors = [n for n in nodes if not n.is_sink]
+    for src in sensors:
+        nearest = min(((dist[(src.id, o.id)], o.id) for o in sensors if o.id != src.id), default=None)
+        if nearest is None or nearest[0] > a0:
+            continue
+        h = nearest[1]
+        for tgt in nodes:
+            if tgt.id == src.id or (src.id, tgt.id) in direct:
+                continue
+            if dist[(src.id, tgt.id)] ** -phy.alpha + dist[(h, tgt.id)] ** -phy.alpha >= threshold:
+                coop[(src.id, tgt.id)] = (h,)
+    return direct, coop
+
+
+@st.composite
+def networks(draw):
+    """1-14 sensors and 1-3 sinks in shuffled order under distinct,
+    non-contiguous ids, either on an integer grid (many equidistant
+    pairs) or uniform on a square."""
+    n_sensors, n_sinks = draw(st.integers(1, 14)), draw(st.integers(1, 3))
+    n = n_sensors + n_sinks
+    if draw(st.booleans()):
+        step = draw(st.sampled_from([8, 13, 20, 29]))
+        cells = st.tuples(st.integers(-8, 8), st.integers(-8, 8))
+        xy = [(step * i, step * j) for i, j in draw(st.lists(cells, min_size=n, max_size=n, unique=True))]
+    else:
+        field = draw(st.floats(30.0, 300.0))
+        xy = (np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((n, 2)) * field).tolist()
+    ids = draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n, unique=True))
+    rates = [-1.0] * n_sinks
+    rates += draw(st.lists(st.sampled_from([0.0, 1.0, 2.5]), min_size=n_sensors, max_size=n_sensors))
+    nodes = [SensorNode(id=i, x=float(x), y=float(y), rate=r) for i, (x, y), r in zip(ids, xy, rates)]
+    return draw(st.permutations(nodes))
+
+
+class TestLinksAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(nodes=networks())
+    def test_same_links_as_pair_loop(self, phy, nodes):
+        links = build_links(nodes, phy)
+        direct, coop = reference_links(nodes, phy)
+        assert links.direct == direct
+        assert links.coop == coop
+
+    @pytest.mark.parametrize(
+        "low, high",
+        [
+            ((0.0, -28.0), (0.0, 28.0)),
+            # 17^2 + 52^2 == 28^2 + 47^2, but np.hypot rounds them apart
+            ((17.0, 52.0), (28.0, 47.0)),
+        ],
+    )
+    def test_equidistant_helpers_tie_to_lower_id(self, phy, low, high):
+        nodes = [
+            SensorNode(id=12, x=high[0], y=high[1]),
+            SensorNode(id=20, x=-57.0, y=0.0, rate=-3.0),
+            SensorNode(id=7, x=0.0, y=0.0),
+            SensorNode(id=3, x=low[0], y=low[1]),
+        ]
+        links = build_links(nodes, phy)
+        assert links.coop[(7, 20)] == (3,)
+        assert (links.direct, links.coop) == reference_links(nodes, phy)
+
+    def test_nearly_coincident_nodes(self, phy):
+        # d^-alpha overflows to inf on the close pair; pytest makes a
+        # warning an error
+        nodes = [
+            SensorNode(id=0, x=0.0, y=0.0, rate=-1.0),
+            SensorNode(id=1, x=1e-90, y=0.0),
+            SensorNode(id=2, x=30.0, y=0.0),
+        ]
+        links = build_links(nodes, phy)
+        assert (links.direct, links.coop) == reference_links(nodes, phy)
 
 
 def scanned_adjacency(pairs):
