@@ -5,6 +5,8 @@ inversion from a required gain to a cluster size.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -322,12 +324,19 @@ def invert_cluster_size(required_gain: float, mode: str, phy: PhyParams) -> int:
 
     ideal: ceil of the gain (density-limit D_av/N -> 1).
     cb: closed-form inversion of the directivity lower bound.
-    ct: integer bracketed search on the closed-form CT gain with the
-    disk radius tied to the size through the node density.
+    ct: bisection on the closed-form CT gain with the disk radius tied
+    to the size through the node density.  With a = 2/alpha and
+    z(n) = c * n^(1/a), the gain 1 + (n-1) * 2F1(a, -L; a+1; z(n)) equals
+    1 + ((n-1)/n) * a * c^-a * integral_0^z(n) s^(a-1) (1-s)^L ds, so it
+    rises strictly with n up to the end of the closed form's domain
+    (z <= 1 and (1-z)^L above the float range's floor).  A size past
+    that end or above _N_MAX counts as unreachable.
     """
-    if required_gain < 1.0:
+    if mode not in ("ideal", "cb", "ct"):
+        raise ValueError(f"unknown gain mode {mode!r}")
+    if not required_gain >= 1.0:
         raise ValueError("required gain must be at least 1")
-    if required_gain <= 1.0:
+    if required_gain == 1.0:
         return 1
     if mode == "ideal":
         return math.ceil(required_gain)
@@ -336,31 +345,26 @@ def invert_cluster_size(required_gain: float, mode: str, phy: PhyParams) -> int:
         c1 = MU * phy.wavelength * math.sqrt(phy.density * math.pi)
         n = 0.5 * (c0 * (2.0 + c0 * c1**2) + c0**1.5 * c1 * math.sqrt(4.0 + c0 * c1**2))
         return max(1, math.ceil(n))
-    if mode == "ct":
-        def gain(n: int) -> float:
-            r = math.sqrt(n / (phy.density * math.pi))
-            geom = ClusterGeometry(n=n, r_disk=r, dist=2.0 * r + 1.0)
-            try:
-                return ct_gain_closed_form(geom, phy).value
-            except ValueError as exc:  # z > 1, or (1-z)^L underflows just below
-                raise UnreachableGainError(
-                    f"gain {required_gain} drives the CT closed form out of its "
-                    f"approximation domain at n={n}"
-                ) from exc
 
-        lo, hi = 1, 2
-        while gain(hi) < required_gain:
-            lo = hi
-            hi *= 2
-            if hi > _N_MAX:
-                raise UnreachableGainError(
-                    f"no cluster of size <= {_N_MAX} reaches gain {required_gain}"
-                )
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if gain(mid) >= required_gain:
-                hi = mid
-            else:
-                lo = mid
-        return hi
-    raise ValueError(f"unknown gain mode {mode!r}")
+    @functools.cache
+    def gain(n: int) -> float:
+        # nondecreasing in n: inf past the domain and above _N_MAX
+        if n > _N_MAX:
+            return math.inf
+        # the closed form is the far-field limit and ignores dist
+        geom = ClusterGeometry(n=n, r_disk=math.sqrt(n / (phy.density * math.pi)), dist=math.inf)
+        try:
+            return ct_gain_closed_form(geom, phy).value
+        except ValueError:  # z > 1, or (1-z)^L underflows
+            return math.inf
+
+    lo, hi = 1, 2
+    while gain(hi) < required_gain:
+        lo, hi = hi, 2 * hi
+    n = lo + 1 + bisect.bisect_left(range(lo + 1, hi + 1), required_gain, key=gain)
+    if gain(n) == math.inf:
+        raise UnreachableGainError(
+            f"no cluster of size <= {_N_MAX} inside the CT closed form's domain "
+            f"reaches gain {required_gain}"
+        )
+    return n

@@ -171,6 +171,8 @@ def run_gain(
 ) -> ResultTable:
     """Sweep the cluster radius, reporting the closed-form gain next to
     its Monte Carlo estimate."""
+    if kind not in ("ct", "cb"):
+        raise ValueError(f"unknown gain kind {kind!r}")
     table = ResultTable(
         columns=["mode", "n", "radius", "dist", "closed_form", "mc_value", "mc_stderr"],
         metadata={
@@ -189,11 +191,9 @@ def run_gain(
         if kind == "ct":
             cf = ct_gain_closed_form(geom, phy).value
             mc = ct_gain_monte_carlo(geom, phy, trials, seed=_spawn_seed(seed, idx))
-        elif kind == "cb":
+        else:
             cf = cb_gain_bound(geom, phy).value
             mc = cb_gain_monte_carlo(geom, phy, trials, seed=_spawn_seed(seed, idx))
-        else:
-            raise ValueError(f"unknown gain kind {kind!r}")
         table.add(kind, n, float(r), dist, cf, mc.value, mc.stderr)
     return table
 

@@ -159,9 +159,12 @@ def solve_lifetime_lp(
     Variables: one flow per direct link, one per cooperative link (if
     enabled), slacks for the energy caps, and the lifetime itself.
     A cooperative unit of flow consumes one energy unit at the
-    transmitter and one at each helper.
+    transmitter and one at each helper.  Raises ValueError when no
+    sensor has a positive rate, where the lifetime is unbounded.
     """
     sensors = [n for n in nodes if not n.is_sink]
+    if not any(n.rate > 0 for n in sensors):
+        raise ValueError("no sensor has a positive rate, so the lifetime is unbounded")
     row_of = {n.id: r for r, n in enumerate(sensors)}
     # (src, dst, helpers) per flow column: direct links, then coop links.
     flows = [(i, j, ()) for (i, j) in sorted(links.direct) if i in row_of]

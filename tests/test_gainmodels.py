@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsnlife import gainmodels
 from wsnlife.gainmodels import (
@@ -380,14 +382,70 @@ class TestInvertClusterSize:
         with pytest.raises(UnreachableGainError):
             invert_cluster_size(1e4, "ct", PhyParams(density=density))
 
+    @pytest.mark.parametrize(
+        "required, mode, message",
+        [
+            (0.5, "ct", "at least 1"),
+            (math.nan, "ideal", "at least 1"),
+            (1.0, "bogus", "unknown gain mode"),
+            (4.0, "bogus", "unknown gain mode"),
+        ],
+    )
+    def test_rejects_bad_input(self, required, mode, message):
+        with pytest.raises(ValueError, match=message):
+            invert_cluster_size(required, mode, PhyParams())
+
     def test_ct_is_minimal(self):
-        phy = PhyParams(density=0.05)
-        required = 4.0
-        n = invert_cluster_size(required, "ct", phy)
+        short = PhyParams(packet_len=1)
+        last = 62831  # the largest size with z <= 1 at density 1
+        with pytest.raises(ApproximationDomainError):
+            ct_size_gain(last + 1, short)
+        # the doubling passes the domain's end (65,536) before it
+        # brackets this target
+        midway = 0.5 * (ct_size_gain(2**15, short) + ct_size_gain(last, short))
+        for phy, required in ((PhyParams(density=0.05), 4.0), (short, midway)):
+            n = invert_cluster_size(required, "ct", phy)
+            assert ct_size_gain(n, phy) >= required
+            assert n == 1 or ct_size_gain(n - 1, phy) < required
+        with pytest.raises(UnreachableGainError):
+            invert_cluster_size(math.nextafter(ct_size_gain(last, short), math.inf), "ct", short)
 
-        def gain(k):
-            r = math.sqrt(k / (phy.density * math.pi))
-            return ct_gain_closed_form(ClusterGeometry(n=k, r_disk=r, dist=2 * r + 1), phy).value
+    def test_ct_above_n_max_is_unreachable(self):
+        # at density 20 the domain runs to n = 1,256,637, past _N_MAX
+        phy = PhyParams(density=20.0)
+        top = ct_size_gain(gainmodels._N_MAX, phy)
+        assert invert_cluster_size(top, "ct", phy) == gainmodels._N_MAX
+        with pytest.raises(UnreachableGainError):
+            invert_cluster_size(math.nextafter(top, math.inf), "ct", phy)
 
-        assert gain(n) >= required
-        assert n == 1 or gain(n - 1) < required
+    @settings(max_examples=200, deadline=None)
+    @given(
+        packet_len=st.integers(1, 200),
+        alpha=st.floats(2.0, 6.0),
+        density=st.sampled_from([0.01, 0.05, 1.0, 20.0]),
+        position=st.floats(0.0, 1.0),
+    )
+    def test_ct_gain_rises_with_n(self, packet_len, alpha, density, position):
+        # The CT search bisects on this.  Up to the domain's end the gain
+        # rises strictly; past it (z > 1, or (1-z)^L underflows) every
+        # larger size is out too.  Sizes are those the search tries, up
+        # to _N_MAX: from ~1e8 on, rounding hides the O(1/n^2) rise near
+        # the domain's end.
+        phy = PhyParams(alpha=alpha, density=density, packet_len=packet_len)
+        z_one = density * math.pi * (4.0 * phy.power / phy.noise) ** (2.0 / alpha)
+        last = min(gainmodels._N_MAX, math.floor(z_one))
+        start = max(1, round(last**position))
+        sizes = sorted({start, start + 1, start + 2, max(1, last - 2), max(1, last - 1), last})
+        gains = []
+        for n in sizes:
+            try:
+                gains.append(ct_size_gain(n, phy))
+            except ValueError:
+                gains.append(math.inf)
+        assert all(a < b or a == b == math.inf for a, b in zip(gains, gains[1:])), (sizes, gains)
+
+
+def ct_size_gain(n, phy):
+    """Closed-form CT gain of an n-node cluster at the node density."""
+    r = math.sqrt(n / (phy.density * math.pi))
+    return ct_gain_closed_form(ClusterGeometry(n=n, r_disk=r, dist=2 * r + 1), phy).value

@@ -106,6 +106,11 @@ class TestRunGain:
             assert fields[0] == "ct"
             assert [float(f) for f in fields[1:]] == [float(v) for v in row[1:]]
 
+    @pytest.mark.parametrize("radii", [(), (10.0,)])
+    def test_rejects_unknown_kind(self, radii):
+        with pytest.raises(ValueError, match="unknown gain kind 'bogus'"):
+            harness.run_gain(harness.default_phy(), kind="bogus", radii=radii, trials=10)
+
     def test_repeatable(self):
         phy = harness.default_phy()
         a = harness.run_gain(phy, radii=(30.0,), trials=500, seed=4).to_csv()

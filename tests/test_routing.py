@@ -289,6 +289,23 @@ class TestLifetimeLp:
         sol = solve_lifetime_lp(nodes, links)
         assert sol.lifetime == pytest.approx(0.0, abs=1e-9)
 
+    def test_no_positive_rate_raises(self, phy):
+        # the lifetime is unbounded, as in the other two algorithms
+        a0 = phy.hop_range()
+        nodes = [
+            SensorNode(id=1, x=0.0, y=0.0, rate=-1.0),
+            SensorNode(id=2, x=0.5 * a0, y=0.0, rate=0.0),
+            SensorNode(id=3, x=a0, y=0.0, rate=0.0),
+        ]
+        links = build_links(nodes, phy)
+        for with_coop in (False, True):
+            with pytest.raises(ValueError, match="no sensor has a positive rate"):
+                solve_lifetime_lp(nodes, links, with_coop=with_coop)
+        with pytest.raises(NoRouteError):
+            shortest_path_lifetime(nodes, links)
+        with pytest.raises(ValueError):
+            simulate_dynamic(nodes, links)
+
     def test_energy_scaling(self, phy, snapshot_nodes):
         links = build_links(snapshot_nodes, phy)
         base = solve_lifetime_lp(snapshot_nodes, links).lifetime
