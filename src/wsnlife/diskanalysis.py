@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .gainmodels import PhyParams, UnreachableGainError, invert_cluster_size
+from .gainmodels import PhyParams, UnreachableGainError, invert_cluster_size, invert_cluster_sizes
 
 __all__ = [
     "DiskScenario",
@@ -108,24 +108,30 @@ def npf(b: float, scenario: DiskScenario) -> float:
     return _load(_chain(b, scenario), [0.0] * scenario.grid)
 
 
+def _required_gain(b: float, scenario: DiskScenario) -> float:
+    """Gain a cluster at radius b needs to reach the sink in one shot."""
+    return max(b / scenario.a0, 1.0) ** scenario.phy.alpha
+
+
 def cluster_size_for_ring(b: float, scenario: DiskScenario) -> int:
     """Cluster size needed at radius b to reach the sink in one shot,
     or 0 where the mode's gain model cannot reach it (the ring forwards)."""
     _check_radius(b, scenario)
-    target = max(b / scenario.a0, 1.0) ** scenario.phy.alpha
     try:
-        return invert_cluster_size(target, scenario.mode, scenario.phy)
+        return invert_cluster_size(_required_gain(b, scenario), scenario.mode, scenario.phy)
     except UnreachableGainError:
         return 0
 
 
 def _tables(scenario: DiskScenario, cluster_sizes: Sequence[int] | None = None):
-    """Rings, relay chains, cluster sizes (inverted unless given) and
-    pure-forwarding loads, built once per profile."""
+    """Rings, relay chains, cluster sizes (inverted in one batch unless
+    given, 0 where unreachable) and pure-forwarding loads, built once
+    per profile."""
     rings = scenario.rings()
     chains = [_chain(b, scenario) for b in rings]
     if cluster_sizes is None:
-        cluster_sizes = [cluster_size_for_ring(b, scenario) for b in rings]
+        targets = [_required_gain(b, scenario) for b in rings]
+        cluster_sizes = invert_cluster_sizes(targets, scenario.mode, scenario.phy)
     no_bypass = [0.0] * len(rings)
     return rings, chains, list(cluster_sizes), [_load(chain, no_bypass) for chain in chains]
 

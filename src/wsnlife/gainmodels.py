@@ -5,9 +5,8 @@ inversion from a required gain to a cluster size.
 
 from __future__ import annotations
 
-import bisect
-import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,19 +29,21 @@ __all__ = [
     "ct_gain_exact",
     "ct_gain_monte_carlo",
     "invert_cluster_size",
+    "invert_cluster_sizes",
 ]
 
 # Constant in the CB directivity lower bound N / (1 + MU * N * lambda / R).
 MU = 0.09332
 
-# Radius draws per chunk of the CT Monte Carlo (trials x relays).  Its
-# 64 KiB working arrays stay cache-resident and are reused from the
-# heap; at 4,096 trials x 9 relays (295 KB arrays) every temporary was
-# a fresh mapping that page-faulted, and the 12-radius analytic sweep
-# took 1.6x as long (2-vCPU x86-64 Linux).  The radii are one stream of
-# uniforms in trial order, so the chunk size changes only the summation
-# order of the result.
-_CT_DRAWS_PER_CHUNK = 2**13
+# Radius draws per chunk of the CT Monte Carlo (trials x relays).  The
+# draws and the kernel's five work arrays, 128 KiB each at 2^14 draws,
+# are allocated once per call and stay in a 2 MiB L2 cache.  Medians of
+# 10 interleaved runs of the analytic bench's 12-radius sweep (n = 10,
+# 10^5 trials a radius) took 0.224 s at 2^13, 0.202 s at 2^14 and
+# 0.228 s at 2^15 (2-vCPU x86-64 Xeon, Linux, numpy 2.4).  The radii are
+# one stream of uniforms in trial order, so the chunk size changes only
+# the summation order of the result.
+_CT_DRAWS_PER_CHUNK = 2**14
 
 # Most terms the series of the CT azimuth average may take; it raises
 # ConvergenceError rather than return a truncated sum.
@@ -54,7 +55,7 @@ _AZIMUTH_TAIL_TOL = 2.0**-53
 # which bounds its working memory.
 _CB_PAIRS_PER_BATCH = 2**16
 
-# Largest cluster size the CT search in invert_cluster_size tries.
+# Largest cluster size the CT search in invert_cluster_sizes tries.
 _N_MAX = 10**6
 
 
@@ -146,16 +147,37 @@ class GainEstimate:
             raise ValueError("gain and stderr must be nonnegative")
 
 
-def _monte_carlo_estimate(total: float, total_sq: float, trials: int) -> GainEstimate:
-    """Mean and its standard error from a sample's sum and sum of
-    squares."""
-    mean = total / trials
-    if trials > 1:
-        var = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
-        stderr = math.sqrt(var / trials)
-    else:
+class _Moments:
+    """Count, mean and centred sum of squares of a sample that arrives
+    in chunks, merged chunk by chunk with the pairwise update of Chan,
+    Golub & LeVeque (1983).  Values are held relative to the first one,
+    so a sample whose spread is tiny next to its mean keeps its
+    digits."""
+
+    def __init__(self):
+        self.count, self.shift, self.mean, self.m2 = 0, 0.0, 0.0, 0.0
+
+    def add(self, values: np.ndarray) -> None:
+        """Merge one chunk; overwrites values."""
+        if not self.count:
+            self.shift = float(values[0])
+        values -= self.shift
+        count = values.size
+        mean = float(values.sum()) / count
+        values -= mean
+        values *= values
+        total = self.count + count
+        delta = mean - self.mean
+        self.mean += delta * count / total
+        self.m2 += float(values.sum()) + delta * delta * (self.count * count / total)
+        self.count = total
+
+    def estimate(self) -> GainEstimate:
+        """The mean and its standard error."""
         stderr = 0.0
-    return GainEstimate(value=mean, stderr=stderr)
+        if self.count > 1:
+            stderr = math.sqrt(self.m2 / (self.count - 1) / self.count)
+        return GainEstimate(value=self.shift + self.mean, stderr=stderr)
 
 
 def cb_gain_bound(geom: ClusterGeometry, phy: PhyParams) -> GainEstimate:
@@ -188,8 +210,7 @@ def cb_gain_monte_carlo(
     k0 = 2.0 * np.pi / lam
     first, second = np.triu_indices(n, 1)
     batch = max(1, _CB_PAIRS_PER_BATCH // first.size)
-    total = 0.0
-    total_sq = 0.0
+    moments = _Moments()
     for start in range(0, trials, batch):
         count = min(batch, trials - start)
         # one row per trial: n radii then n angles, the per-trial order
@@ -200,31 +221,64 @@ def cb_gain_monte_carlo(
         dx = x[:, first] - x[:, second]
         dist = np.hypot(dx, y[:, first] - y[:, second])
         cross = (np.cos(k0 * dx) * bessel_j0(k0 * dist)).sum(axis=1)
-        for power in 1.0 / n + (2.0 / n**2) * cross:
-            d = 1.0 / power
-            total += d
-            total_sq += d * d
-    return _monte_carlo_estimate(total, total_sq, trials)
+        moments.add(1.0 / (1.0 / n + (2.0 / n**2) * cross))
+    return moments.estimate()
 
 
-def _good_channel_arg(geom: ClusterGeometry, phy: PhyParams) -> float:
-    return phy.noise * geom.r_disk**phy.alpha / (4.0 * phy.power)
+def _good_channel_arg(r_disk: float, phy: PhyParams) -> float:
+    return phy.noise * r_disk**phy.alpha / (4.0 * phy.power)
+
+
+def _ct_closed_form(n, z, phy: PhyParams):
+    """1 + (n-1) * 2F1(2/alpha, -L; (alpha+2)/alpha; z), elementwise
+    over arrays n and z with z <= 1 (floats for an int and a float)."""
+    args = Hyp2F1Args(a=2.0 / phy.alpha, L=phy.packet_len, c=(phy.alpha + 2.0) / phy.alpha, z=z)
+    return 1.0 + (n - 1) * hyp2f1_terminating(args)
 
 
 def ct_gain_closed_form(geom: ClusterGeometry, phy: PhyParams) -> GainEstimate:
     """Closed-form average CT energy gain
     1 + (n-1) * 2F1(2/alpha, -L; (alpha+2)/alpha; noise*R^alpha/(4P)).
     """
-    z = _good_channel_arg(geom, phy)
+    z = _good_channel_arg(geom.r_disk, phy)
     if z > 1.0:
         raise ApproximationDomainError(
             f"noise*R^alpha/(4P) = {z:.4g} > 1: good-channel approximation invalid"
         )
-    args = Hyp2F1Args(
-        a=2.0 / phy.alpha, L=phy.packet_len, c=(phy.alpha + 2.0) / phy.alpha, z=z
-    )
-    value = 1.0 + (geom.n - 1) * hyp2f1_terminating(args)
-    return GainEstimate(value=value)
+    return GainEstimate(value=_ct_closed_form(geom.n, z, phy))
+
+
+def _azimuth_series(a2: np.ndarray, alpha: float, total: np.ndarray, term: np.ndarray,
+                    step: np.ndarray) -> np.ndarray:
+    """2F1(1-alpha/2, 1-alpha/2; 1; a2) summed into total, with term
+    and step as scratch of a2's shape (see ct_azimuth_average)."""
+    b = 1.0 - 0.5 * alpha
+    top = float(a2.max())
+    # a term at the largest a2 bounds that term at every a2
+    top_term = 1.0
+    total.fill(1.0)
+    for k in range(_AZIMUTH_MAX_TERMS):
+        ratio = ((b + k) / (k + 1)) ** 2
+        if ratio == 0.0:  # b = -k
+            break
+        # term_k = term_{k-1} * (ratio * a2), with term_{-1} = 1
+        if k:
+            np.multiply(a2, ratio, out=step)
+            term *= step
+        else:
+            np.multiply(a2, ratio, out=term)
+        total += term
+        top_term *= ratio * top
+        # once k + 2 >= alpha/4, every later term is at most a2 times the
+        # one before it, so the tail is at most term * a2 / (1 - a2)
+        if 4 * (k + 2) >= alpha and top_term * top / (1.0 - top) <= _AZIMUTH_TAIL_TOL:
+            break
+    else:
+        raise ConvergenceError(
+            f"azimuth average at a^2={top:.6g}, alpha={alpha:g} needs more than "
+            f"{_AZIMUTH_MAX_TERMS} series terms"
+        )
+    return total
 
 
 def ct_azimuth_average(a2, alpha: float) -> np.ndarray:
@@ -240,42 +294,43 @@ def ct_azimuth_average(a2, alpha: float) -> np.ndarray:
     ConvergenceError after _AZIMUTH_MAX_TERMS terms.
     """
     a2 = np.asarray(a2, dtype=float)
-    b = 1.0 - 0.5 * alpha
-    top = float(a2.max())
-    # a term at the largest a2 bounds that term at every a2
-    top_term = 1.0
-    total = np.ones_like(a2)
-    term = np.ones_like(a2)
-    for k in range(_AZIMUTH_MAX_TERMS):
-        ratio = ((b + k) / (k + 1)) ** 2
-        if ratio == 0.0:  # b = -k
-            break
-        term *= ratio * a2
-        total += term
-        top_term *= ratio * top
-        # once k + 2 >= alpha/4, every later term is at most a2 times the
-        # one before it, so the tail is at most term * a2 / (1 - a2)
-        if 4 * (k + 2) >= alpha and top_term * top / (1.0 - top) <= _AZIMUTH_TAIL_TOL:
-            break
-    else:
-        raise ConvergenceError(
-            f"azimuth average at a^2={top:.6g}, alpha={alpha:g} needs more than "
-            f"{_AZIMUTH_MAX_TERMS} series terms"
-        )
+    series = _azimuth_series(a2, alpha, *(np.empty_like(a2) for _ in range(3)))
     # exp/log: numpy's power is several times slower at negative exponents
-    return np.exp((1.0 - alpha) * np.log(1.0 - a2)) * total
+    return np.exp((1.0 - alpha) * np.log(1.0 - a2)) * series
 
 
-def _ct_relay_gain(u, geom: ClusterGeometry, phy: PhyParams) -> np.ndarray:
+def _ct_relay_gain(u, geom: ClusterGeometry, phy: PhyParams, work=None) -> np.ndarray:
     """A(r/D) * p(r) for a relay at radius r = R sqrt(u): its gain over
     the direct link, averaged exactly over azimuth and over fading
-    (E|h|^2 = 1), where p(r) is the exact BPSK packet-success
-    probability of the source-relay hop."""
+    (E|h|^2 = 1), where p(r) = b(r)^L is the exact BPSK packet-success
+    probability of the source-relay hop with bit success b(r).
+
+    With one exponential per relay: exp(L log b(r) + (1-alpha) log(1-a^2))
+    times the series of ct_azimuth_average at a^2 = (r/D)^2.  work, if
+    given, is four arrays of u's shape that hold every intermediate, so
+    the call allocates nothing; the result is the first of them.
+    """
     u = np.asarray(u, dtype=float)
-    noise_ratio = phy.noise * geom.r_disk**phy.alpha / phy.power
-    bit_ok = 0.5 + 0.5 / np.sqrt(1.0 + noise_ratio * u ** (0.5 * phy.alpha))
-    p_suc = np.exp(phy.packet_len * np.log(bit_ok))  # bit_ok**L, faster than power
-    return ct_azimuth_average((geom.r_disk / geom.dist) ** 2 * u, phy.alpha) * p_suc
+    out, a2, series, log_far = work or [np.empty_like(u) for _ in range(4)]
+    alpha = phy.alpha
+    np.multiply(u, (geom.r_disk / geom.dist) ** 2, out=a2)
+    _azimuth_series(a2, alpha, series, log_far, out)
+    np.subtract(1.0, a2, out=log_far)
+    np.log(log_far, out=log_far)
+    log_far *= 1.0 - alpha
+    # log b(r), b(r) = 1/2 + 1/2 / sqrt(1 + (noise R^alpha / P) u^(alpha/2))
+    np.power(u, 0.5 * alpha, out=out)
+    out *= phy.noise * geom.r_disk**alpha / phy.power
+    out += 1.0
+    np.sqrt(out, out=out)
+    np.divide(0.5, out, out=out)
+    out += 0.5
+    np.log(out, out=out)
+    out *= phy.packet_len
+    out += log_far
+    np.exp(out, out=out)
+    out *= series
+    return out
 
 
 def ct_gain_exact(geom: ClusterGeometry, phy: PhyParams) -> GainEstimate:
@@ -306,27 +361,99 @@ def ct_gain_monte_carlo(
     if n == 1:
         return GainEstimate(value=1.0, stderr=0.0)
     rng = np.random.default_rng(seed)
-    total = 0.0
-    total_sq = 0.0
-    chunk = max(1, _CT_DRAWS_PER_CHUNK // (n - 1))
+    relays = n - 1
+    chunk = min(trials, max(1, _CT_DRAWS_PER_CHUNK // relays))
+    # draws fill one row per trial, in stream order; the kernel runs on
+    # one row per relay, so each trial's relays add up in order
+    draws = np.empty((chunk, relays))
+    work = [np.empty((relays, chunk)) for _ in range(5)]
+    gains = np.empty(chunk)
+    moments = _Moments()
     for start in range(0, trials, chunk):
         count = min(chunk, trials - start)
-        # one row per relay, so the sum over relays adds whole rows
-        u = np.ascontiguousarray(rng.random((count, n - 1)).T)
-        gains = 1.0 + _ct_relay_gain(u, geom, phy).sum(axis=0)
-        total += gains.sum()
-        total_sq += (gains * gains).sum()
-    return _monte_carlo_estimate(total, total_sq, trials)
+        rng.random(out=draws[:count])
+        u, *rest = (w[:, :count] for w in work)
+        np.copyto(u, draws[:count].T)
+        relay = _ct_relay_gain(u, geom, phy, rest)
+        g = gains[:count]
+        np.add.reduce(relay, axis=0, out=g)
+        g += 1.0
+        moments.add(g)
+    return moments.estimate()
 
 
-def invert_cluster_size(required_gain: float, mode: str, phy: PhyParams) -> int:
-    """Smallest cluster size whose gain model reaches required_gain.
+def _ct_size_gains(sizes: np.ndarray, phy: PhyParams) -> np.ndarray:
+    """Closed-form CT gain of each cluster size, with the disk radius
+    tied to the size through the node density: inf past the closed
+    form's domain (z > 1, or (1-z)^L below the float range's floor) and
+    above _N_MAX, so the gain is nondecreasing in the size."""
+    gains = np.full(sizes.shape, math.inf)
+    z = np.full(sizes.shape, math.nan)
+    for i, n in enumerate(sizes.tolist()):
+        r_disk = math.sqrt(n / (phy.density * math.pi))
+        if n > _N_MAX or not 0.0 < r_disk < math.inf:
+            continue
+        zi = _good_channel_arg(r_disk, phy)
+        if zi <= 1.0 and (1.0 - zi) ** phy.packet_len >= sys.float_info.min:
+            z[i] = zi
+    inside = ~np.isnan(z)
+    # the closed form is the far-field limit and ignores dist
+    gains[inside] = _ct_closed_form(sizes[inside], z[inside], phy)
+    return gains
+
+
+def _ct_cluster_sizes(targets: np.ndarray, phy: PhyParams) -> np.ndarray:
+    """For each target above 1, the smallest cluster size whose
+    closed-form CT gain reaches it, or 0 if no size does.
+
+    The bracket of each target is the one a doubling search from 2
+    finds: the first power of two whose gain reaches it (past _N_MAX
+    every gain is inf).  Then all targets bisect their brackets in
+    lockstep, and each step evaluates the closed form once for the
+    distinct sizes it asks for.
+    """
+
+    def gain(sizes: np.ndarray) -> np.ndarray:
+        distinct, where = np.unique(sizes, return_inverse=True)
+        return _ct_size_gains(distinct, phy)[where]
+
+    ladder = 2 ** np.arange(1, _N_MAX.bit_length() + 1)
+    rung = np.searchsorted(gain(ladder), targets)
+    # bisect the sizes [lo, hi) above the last rung short of the target
+    lo = np.where(rung > 0, ladder[rung - 1], 1) + 1
+    hi = ladder[rung] + 1
+    active = np.flatnonzero(lo < hi)
+    while active.size:
+        mid = (lo[active] + hi[active]) // 2
+        below = gain(mid) < targets[active]
+        lo[active[below]] = mid[below] + 1
+        hi[active[~below]] = mid[~below]
+        active = active[lo[active] < hi[active]]
+    return np.where(gain(lo) == math.inf, 0, lo)
+
+
+def _closed_form_size(required_gain: float, mode: str, phy: PhyParams) -> int:
+    """The ideal or cb size for one required gain."""
+    if required_gain == 1.0:
+        return 1
+    if mode == "ideal":
+        return math.ceil(required_gain)
+    c0 = required_gain
+    c1 = MU * phy.wavelength * math.sqrt(phy.density * math.pi)
+    n = 0.5 * (c0 * (2.0 + c0 * c1**2) + c0**1.5 * c1 * math.sqrt(4.0 + c0 * c1**2))
+    return max(1, math.ceil(n))
+
+
+def invert_cluster_sizes(required_gains, mode: str, phy: PhyParams) -> list[int]:
+    """Smallest cluster size whose gain model reaches each required
+    gain, or 0 where no admissible size does.
 
     ideal: ceil of the gain (density-limit D_av/N -> 1).
     cb: closed-form inversion of the directivity lower bound.
-    ct: bisection on the closed-form CT gain with the disk radius tied
-    to the size through the node density.  With a = 2/alpha and
-    z(n) = c * n^(1/a), the gain 1 + (n-1) * 2F1(a, -L; a+1; z(n)) equals
+    ct: search on the closed-form CT gain with the disk radius tied
+    to the size through the node density, every target in one
+    lockstep batch.  With a = 2/alpha and z(n) = c * n^(1/a), the gain
+    1 + (n-1) * 2F1(a, -L; a+1; z(n)) equals
     1 + ((n-1)/n) * a * c^-a * integral_0^z(n) s^(a-1) (1-s)^L ds, so it
     rises strictly with n up to the end of the closed form's domain
     (z <= 1 and (1-z)^L above the float range's floor).  A size past
@@ -334,35 +461,25 @@ def invert_cluster_size(required_gain: float, mode: str, phy: PhyParams) -> int:
     """
     if mode not in ("ideal", "cb", "ct"):
         raise ValueError(f"unknown gain mode {mode!r}")
-    if not required_gain >= 1.0:
+    required = [float(g) for g in required_gains]
+    if not all(g >= 1.0 for g in required):
         raise ValueError("required gain must be at least 1")
-    if required_gain == 1.0:
-        return 1
-    if mode == "ideal":
-        return math.ceil(required_gain)
-    if mode == "cb":
-        c0 = required_gain
-        c1 = MU * phy.wavelength * math.sqrt(phy.density * math.pi)
-        n = 0.5 * (c0 * (2.0 + c0 * c1**2) + c0**1.5 * c1 * math.sqrt(4.0 + c0 * c1**2))
-        return max(1, math.ceil(n))
+    if mode != "ct":
+        return [_closed_form_size(g, mode, phy) for g in required]
+    targets = np.array(required)
+    sizes = np.ones(targets.shape, np.int64)
+    above = targets > 1.0
+    if above.any():
+        sizes[above] = _ct_cluster_sizes(targets[above], phy)
+    return sizes.tolist()
 
-    @functools.cache
-    def gain(n: int) -> float:
-        # nondecreasing in n: inf past the domain and above _N_MAX
-        if n > _N_MAX:
-            return math.inf
-        # the closed form is the far-field limit and ignores dist
-        geom = ClusterGeometry(n=n, r_disk=math.sqrt(n / (phy.density * math.pi)), dist=math.inf)
-        try:
-            return ct_gain_closed_form(geom, phy).value
-        except ValueError:  # z > 1, or (1-z)^L underflows
-            return math.inf
 
-    lo, hi = 1, 2
-    while gain(hi) < required_gain:
-        lo, hi = hi, 2 * hi
-    n = lo + 1 + bisect.bisect_left(range(lo + 1, hi + 1), required_gain, key=gain)
-    if gain(n) == math.inf:
+def invert_cluster_size(required_gain: float, mode: str, phy: PhyParams) -> int:
+    """Smallest cluster size whose gain model reaches required_gain
+    (see invert_cluster_sizes); raises UnreachableGainError where none
+    does."""
+    n = invert_cluster_sizes([required_gain], mode, phy)[0]
+    if n == 0:
         raise UnreachableGainError(
             f"no cluster of size <= {_N_MAX} inside the CT closed form's domain "
             f"reaches gain {required_gain}"

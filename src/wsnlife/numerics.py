@@ -45,12 +45,13 @@ class Tolerance:
 @dataclass(frozen=True)
 class Hyp2F1Args:
     """Arguments of 2F1(a, -L; c; z) with a nonnegative integer L,
-    which makes the series a degree-L polynomial in z."""
+    which makes the series a degree-L polynomial in z.  z may be a
+    float or an array of them."""
 
     a: float
     L: int
     c: float
-    z: float
+    z: float | np.ndarray
 
     def __post_init__(self):
         if self.L < 0:
@@ -60,27 +61,46 @@ class Hyp2F1Args:
             raise ValueError(f"c={self.c} makes a Pochhammer factor vanish")
 
 
-def hyp2f1_terminating(args: Hyp2F1Args) -> float:
-    """Evaluate 2F1(a, -L; c; z) as its exact finite sum.
+def _terminating_sum(a: float, L: int, c: float, z: np.ndarray) -> np.ndarray:
+    # Row n+1 holds term_n = term_{n-1} * ((a+n)(n-L) / ((c+n)(n+1)) * z)
+    # under a row of ones; a cumulative product and then a cumulative
+    # sum down the rows repeat the scalar loop's operations in its
+    # order, so each column is bit for bit the scalar sum.
+    n = np.arange(L, dtype=float)[:, None]
+    rows = np.empty((L + 1, z.size))
+    rows[0] = 1.0
+    np.multiply((a + n) * (n - L) / ((c + n) * (n + 1.0)), z, out=rows[1:])
+    np.multiply.accumulate(rows[1:], axis=0, out=rows[1:])
+    np.add.accumulate(rows, axis=0, out=rows)
+    return rows[-1]
+
+
+def hyp2f1_terminating(args: Hyp2F1Args) -> float | np.ndarray:
+    """Evaluate 2F1(a, -L; c; z) as its exact finite sum, elementwise
+    over an array z (a float for a float z).
 
     For 0 < z <= 1 the sum is taken in the Pfaff form
     (1-z)^L * 2F1(c-a, -L; c; z/(z-1)) (DLMF 15.8.1), whose terms all
     have one sign when c > a > 0, so no digits are lost to
-    cancellation.  Raises ValueError where the scale (1-z)^L
-    underflows.
+    cancellation.  The scale (1-z)^L is Python's pow of each z, which
+    numpy's power does not always match to the last bit.  Raises
+    ValueError where the scale underflows.
     """
-    a, L, c, z = args.a, args.L, args.c, args.z
-    scale = 1.0
-    if 0.0 < z <= 1.0 and L:
-        scale = (1.0 - z) ** L
-        if scale < sys.float_info.min:
-            raise ValueError(f"(1-z)^L underflows at z={z}, L={L}")
-        a, z = c - a, z / (z - 1.0)
-    total = term = 1.0
-    for n in range(L):
-        term *= (a + n) * (n - L) / ((c + n) * (n + 1)) * z
-        total += term
-    return scale * total
+    a, L, c = args.a, args.L, args.c
+    z = np.array(args.z, dtype=float)
+    flat = z.reshape(-1)
+    out = np.empty(flat.shape)
+    pfaff = (flat > 0.0) & (flat <= 1.0) & (L > 0)
+    if pfaff.any():
+        zp = flat[pfaff]
+        scale = np.array([(1.0 - zi) ** L for zi in zp.tolist()])
+        tiny = scale < sys.float_info.min
+        if tiny.any():
+            raise ValueError(f"(1-z)^L underflows at z={zp[tiny][0]}, L={L}")
+        out[pfaff] = scale * _terminating_sum(c - a, L, c, zp / (zp - 1.0))
+    if not pfaff.all():
+        out[~pfaff] = _terminating_sum(a, L, c, flat[~pfaff])
+    return float(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 
 # J0 switches from Miller's recurrence to the Hankel expansion above

@@ -30,6 +30,12 @@ ARGVS = (
     "disk --b0 10 --grid 3",
     "disk --mode ct --b0 13.3 --grid 5",
     "disk --mode ct --packet-len 1 --b0 13.3 14",
+    # 68 of the 200 rings are out of the CT closed form's reach
+    "disk --mode ct --b0 12 14",
+    # cluster sizes up to 39,699
+    "disk --mode ct --density 20 --b0 14",
+    # the longest series, at an odd path-loss exponent
+    "disk --mode ct --packet-len 200 --alpha 3 --b0 20",
 )
 
 

@@ -94,6 +94,15 @@ class TestClusterSizeForRing:
         assert cluster_size_for_ring(10.0, sc) == 0
         assert cluster_size_for_ring(8.0, sc) > 1
 
+    @pytest.mark.parametrize("mode", ["ideal", "cb", "ct"])
+    def test_profile_sizes_match_each_ring(self, mode):
+        # the profile inverts every ring in one batch; 68 of these 200
+        # CT rings are unreachable
+        for b0 in (12.0, 14.0):
+            sc = DiskScenario(b0=b0, a0=1.0, mode=mode)
+            profile = pure_bypass_profile(sc)
+            assert list(profile.n_cluster) == [cluster_size_for_ring(b, sc) for b in sc.rings()]
+
 
 class TestNjointProfile:
     def test_zero_bypass_recovers_forwarding(self):

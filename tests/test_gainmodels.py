@@ -1,3 +1,5 @@
+import bisect
+import functools
 import math
 
 import numpy as np
@@ -19,6 +21,7 @@ from wsnlife.gainmodels import (
     ct_gain_exact,
     ct_gain_monte_carlo,
     invert_cluster_size,
+    invert_cluster_sizes,
 )
 from wsnlife.harness import run_gain
 from wsnlife.numerics import ConvergenceError
@@ -303,7 +306,44 @@ class TestCtMonteCarlo:
         monkeypatch.setattr(gainmodels, "_CT_DRAWS_PER_CHUNK", 6 * 7)
         chunked = ct_gain_monte_carlo(geom, phy, 3000, seed=21)
         assert chunked.value == pytest.approx(whole.value, rel=1e-13)
-        assert chunked.stderr == pytest.approx(whole.stderr, rel=1e-9)
+        assert chunked.stderr == pytest.approx(whole.stderr, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("r, seed", [(0.05, 0), (0.1, 0), (0.5, 3), (10.0, 3)])
+    def test_stderr_matches_two_pass(self, r, seed):
+        # Spreads down to 1e-9 of the mean, where a sum of squares less
+        # T * mean^2 cancels.  The reference takes each trial's gain from
+        # the same draws and kernel (at alpha = 4 the azimuth series
+        # terminates, so no chunk's largest draw changes a value), then
+        # math.fsum over two passes.
+        phy = PhyParams()
+        geom = ClusterGeometry(n=10, r_disk=r, dist=1000.0)
+        trials = 10**5
+        est = ct_gain_monte_carlo(geom, phy, trials, seed)
+        u = np.random.default_rng(seed).random((trials, geom.n - 1))
+        relay = gainmodels._ct_relay_gain(np.ascontiguousarray(u.T), geom, phy)
+        gains = (1.0 + relay.sum(axis=0)).tolist()
+        mean = math.fsum(gains) / trials
+        var = math.fsum((g - mean) ** 2 for g in gains) / (trials - 1)
+        assert est.value == pytest.approx(mean, rel=4e-16, abs=0.0)
+        assert est.stderr == pytest.approx(math.sqrt(var / trials), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("packet_len", [1, 100, 200])
+    @pytest.mark.parametrize("alpha", [2.0, 3.0, 4.0, 6.0])
+    @pytest.mark.parametrize("r, dist", [(10.0, 1000.0), (60.0, 400.0), (120.0, 1000.0), (5.0, 6.0)])
+    def test_relay_gain_takes_one_exponential(self, packet_len, alpha, r, dist):
+        # exp(x1 + x2) * S against A * p = exp(x2) * S * exp(x1): they
+        # differ by the rounding of x1 + x2, a relative |x1 + x2| * 2^-53,
+        # and a few roundings of the products and exponentials.
+        phy = PhyParams(alpha=alpha, packet_len=packet_len)
+        geom = ClusterGeometry(n=5, r_disk=r, dist=dist)
+        u = np.linspace(0.0, 1.0, 2001)
+        a2 = (r / dist) ** 2 * u
+        bit_ok = 0.5 + 0.5 / np.sqrt(1.0 + phy.noise * r**alpha / phy.power * u ** (alpha / 2))
+        log_p = packet_len * np.log(bit_ok)
+        ref = ct_azimuth_average(a2, alpha) * np.exp(log_p)
+        exponent = np.abs(log_p + (1.0 - alpha) * np.log(1.0 - a2))
+        got = gainmodels._ct_relay_gain(u, geom, phy)
+        assert np.all(np.abs(got - ref) <= 4.0 * (1.0 + exponent) * np.spacing(ref))
 
     @pytest.mark.parametrize("n", [2, 5, 10])
     def test_agrees_with_exact(self, n):
@@ -443,6 +483,94 @@ class TestInvertClusterSize:
             except ValueError:
                 gains.append(math.inf)
         assert all(a < b or a == b == math.inf for a, b in zip(gains, gains[1:])), (sizes, gains)
+
+
+def scalar_search_gain(phy):
+    """The scalar search's gain(n), memoised for one PhyParams."""
+
+    @functools.cache
+    def gain(n):
+        # nondecreasing in n: inf past the domain and above _N_MAX
+        if n > gainmodels._N_MAX:
+            return math.inf
+        geom = ClusterGeometry(n=n, r_disk=math.sqrt(n / (phy.density * math.pi)), dist=math.inf)
+        try:
+            return ct_gain_closed_form(geom, phy).value
+        except ValueError:  # z > 1, or (1-z)^L underflows
+            return math.inf
+
+    return gain
+
+
+def ct_size_scalar_search(required_gain, gain):
+    """Reference: the scalar CT search the lockstep one replaced, one
+    closed-form call per size, a doubling bracket and then bisection
+    over it.  Returns 0 where no size is reachable."""
+    if required_gain == 1.0:
+        return 1
+    lo, hi = 1, 2
+    while gain(hi) < required_gain:
+        lo, hi = hi, 2 * hi
+    n = lo + 1 + bisect.bisect_left(range(lo + 1, hi + 1), required_gain, key=gain)
+    return 0 if gain(n) == math.inf else n
+
+
+class TestCtSizesLockstep:
+    @pytest.mark.parametrize("density", [0.05, 1.0, 20.0])
+    @pytest.mark.parametrize("alpha", [2.0, 3.0, 4.0, 6.0])
+    @pytest.mark.parametrize("packet_len", [1, 2, 10, 100, 200])
+    def test_matches_scalar_search(self, packet_len, alpha, density):
+        phy = PhyParams(alpha=alpha, density=density, packet_len=packet_len)
+        # the rings' targets on disks of b0/a0 = 2, 6, 10, 14 at 100 rings
+        targets = [max(b0 * k / 100, 1.0) ** alpha for b0 in (2, 6, 10, 14) for k in range(1, 101)]
+        rng = np.random.default_rng([packet_len, int(alpha), int(20 * density)])
+        targets += (1.0 + (1e6 - 1.0) * rng.random(20)).tolist()
+        gain = scalar_search_gain(phy)
+        top = gain(gainmodels._N_MAX)
+        if top < math.inf:
+            targets += [top, math.nextafter(top, math.inf), top * (1.0 + 1e-9)]
+        # exactly on a doubling step, and one float on either side of it
+        for step in (gain(2), gain(2**5), gain(2**11)):
+            if step < math.inf:
+                targets += [math.nextafter(step, 0.0), step, math.nextafter(step, math.inf)]
+        targets.append(1.0)
+        expected = [ct_size_scalar_search(t, gain) for t in targets]
+        assert invert_cluster_sizes(targets, "ct", phy) == expected
+
+    def test_every_outcome_is_exercised(self):
+        # the sweep above meets size 1, _N_MAX itself and unreachable
+        # targets
+        phy = PhyParams(density=20.0)
+        top = scalar_search_gain(phy)(gainmodels._N_MAX)
+        sizes = invert_cluster_sizes([1.0, 14.0**4, top, math.nextafter(top, math.inf)], "ct", phy)
+        assert sizes[0] == 1 and sizes[1] > 1 and sizes[2] == gainmodels._N_MAX and sizes[3] == 0
+        assert invert_cluster_sizes([2.0**4, 14.0**4], "ct", PhyParams())[1] == 0
+
+    def test_one_target_form_agrees(self):
+        phy = PhyParams(packet_len=200, alpha=3.0)
+        targets = [1.0, 2.5, 40.0, 3e3, 1e6]
+        sizes = invert_cluster_sizes(targets, "ct", phy)
+        for target, n in zip(targets, sizes):
+            if n:
+                assert invert_cluster_size(target, "ct", phy) == n
+            else:
+                with pytest.raises(UnreachableGainError):
+                    invert_cluster_size(target, "ct", phy)
+
+    @pytest.mark.parametrize("mode", ["ideal", "cb"])
+    def test_closed_form_modes_match_one_target_form(self, mode):
+        phy = PhyParams()
+        targets = [1.0, 1.5, 16.0, 5.0625, 1e4]
+        assert invert_cluster_sizes(targets, mode, phy) == [
+            invert_cluster_size(t, mode, phy) for t in targets
+        ]
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            invert_cluster_sizes([2.0, math.nan], "ct", PhyParams())
+        with pytest.raises(ValueError, match="unknown gain mode"):
+            invert_cluster_sizes([2.0], "bogus", PhyParams())
+        assert invert_cluster_sizes([], "ct", PhyParams()) == []
 
 
 def ct_size_gain(n, phy):

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -74,6 +75,44 @@ class TestHyp2F1:
     def test_unit_at_origin_and_L0(self, a, L, c, z):
         assert hyp2f1_terminating(Hyp2F1Args(a=a, L=L, c=c, z=0.0)) == 1.0
         assert hyp2f1_terminating(Hyp2F1Args(a=a, L=0, c=c, z=z)) == 1.0
+
+
+def hyp2f1_loop(a, L, c, z):
+    """The scalar loop the array sum replaced, Pfaff branch included."""
+    scale = 1.0
+    if 0.0 < z <= 1.0 and L:
+        scale = (1.0 - z) ** L
+        a, z = c - a, z / (z - 1.0)
+    total = term = 1.0
+    for n in range(L):
+        term *= (a + n) * (n - L) / ((c + n) * (n + 1)) * z
+        total += term
+    return scale * total
+
+
+class TestHyp2F1Array:
+    @pytest.mark.parametrize("alpha", [2.0, 3.0, 4.0, 6.0])
+    @pytest.mark.parametrize("L", [0, 1, 2, 10, 100, 200])
+    def test_bit_for_bit_with_scalar(self, alpha, L):
+        # z <= 0 and z > 1 take the direct sum, 0 < z <= 1 the Pfaff form
+        a, c = 2.0 / alpha, (alpha + 2.0) / alpha
+        z = np.concatenate([np.linspace(-1.0, 1.0, 801), np.linspace(1.0, 3.0, 41)[1:]])
+        z = np.array([x for x in z if not 0.0 < x <= 1.0 or (1.0 - x) ** L >= sys.float_info.min])
+        got = hyp2f1_terminating(Hyp2F1Args(a=a, L=L, c=c, z=z))
+        for x, g in zip(z.tolist(), got.tolist()):
+            assert g == hyp2f1_loop(a, L, c, x), x
+            assert g == hyp2f1_terminating(Hyp2F1Args(a=a, L=L, c=c, z=x)), x
+
+    def test_keeps_shape_and_scalar_type(self):
+        z = np.array([[0.1, -0.2], [0.0, 0.5]])
+        got = hyp2f1_terminating(Hyp2F1Args(a=0.5, L=7, c=1.5, z=z))
+        assert got.shape == (2, 2)
+        assert type(hyp2f1_terminating(Hyp2F1Args(a=0.5, L=7, c=1.5, z=0.1))) is float
+        assert hyp2f1_terminating(Hyp2F1Args(a=0.5, L=7, c=1.5, z=np.array([]))).shape == (0,)
+
+    def test_underflow_anywhere_raises(self):
+        with pytest.raises(ValueError, match="underflows at z=0.9"):
+            hyp2f1_terminating(Hyp2F1Args(a=0.5, L=400, c=1.5, z=np.array([0.1, 0.9, 0.2])))
 
 
 def j0_series(x):
