@@ -27,26 +27,78 @@ class SimplexError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
 class StandardLP:
-    """max c.x s.t. A x = b, x >= 0 (dense)."""
+    """max c.x s.t. A x = b, x >= 0, with A held as its nonzeros.
 
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
+    rows, cols and vals list A's nonzero entries sorted by column, then
+    row; shape is (len(b), len(c)).  StandardLP(a=..., b=..., c=...)
+    takes a dense matrix and from_triplets takes (row, col, value)
+    entries in any order; both store the same arrays, with explicit
+    zeros dropped.  Non-finite entries, out-of-range or repeated
+    indices and mismatched sizes raise ValueError.  lp.a is a dense
+    copy of A built on each access, O(m*n) time and memory; the solver
+    never reads it."""
 
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        c = np.asarray(self.c, dtype=float)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        if a.ndim != 2 or b.ndim != 1 or c.ndim != 1:
+    __slots__ = ("rows", "cols", "vals", "b", "c")
+
+    def __init__(self, a, b, c):
+        a = np.asarray(a, dtype=float)
+        if a.ndim != 2:
             raise ValueError("a must be a matrix, b and c vectors")
-        m, n = a.shape
-        if b.shape[0] != m or c.shape[0] != n:
-            raise ValueError("inconsistent LP dimensions")
+        cols, rows = np.nonzero(a.T)
+        self._store(rows, cols, a[rows, cols], a.shape, b, c)
+
+    @classmethod
+    def from_triplets(cls, rows, cols, vals, shape, b, c) -> "StandardLP":
+        lp = cls.__new__(cls)
+        lp._store(rows, cols, vals, shape, b, c)
+        return lp
+
+    def _store(self, rows, cols, vals, shape, b, c) -> None:
+        b = np.asarray(b, dtype=float)
+        c = np.asarray(c, dtype=float)
+        vals = np.asarray(vals, dtype=float)
+        if b.ndim != 1 or c.ndim != 1:
+            raise ValueError("a must be a matrix, b and c vectors")
+        m, n = b.shape[0], c.shape[0]
+        if tuple(shape) != (m, n):
+            raise ValueError(f"inconsistent LP dimensions: A is {tuple(shape)}, b has {m}, c {n}")
+        rows, cols = (np.asarray(v) for v in (rows, cols))
+        if not rows.shape == cols.shape == vals.shape or vals.ndim != 1:
+            raise ValueError("rows, cols and vals must be vectors of one length")
+        if vals.size and not (rows.dtype.kind in "iu" and cols.dtype.kind in "iu"):
+            raise ValueError("row and column indices must be integers")
+        rows, cols = rows.astype(np.intp), cols.astype(np.intp)
+        if vals.size and not (0 <= rows.min() and rows.max() < m and 0 <= cols.min() and cols.max() < n):
+            raise ValueError(f"an entry of A lies outside its {m} x {n} shape")
+        for name, v in (("A", vals), ("b", b), ("c", c)):
+            if not np.isfinite(v).all():
+                raise ValueError(f"LP data must be finite: {name} has a NaN or inf entry")
+        key = cols * m + rows  # column-major position: sorted and unique iff increasing
+        if not (np.diff(key) > 0).all():
+            order = np.argsort(key, kind="stable")
+            rows, cols, vals, key = rows[order], cols[order], vals[order], key[order]
+            if not (np.diff(key) > 0).all():
+                raise ValueError("A lists a (row, col) entry twice")
+        nonzero = vals != 0.0
+        if not nonzero.all():
+            rows, cols, vals = rows[nonzero], cols[nonzero], vals[nonzero]
+        for name, v in (("rows", rows), ("cols", cols), ("vals", vals), ("b", b), ("c", c)):
+            object.__setattr__(self, name, v)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"StandardLP is immutable; cannot set {name!r}")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.b.shape[0], self.c.shape[0]
+
+    @property
+    def a(self) -> np.ndarray:
+        """A as a dense matrix, built anew on each access."""
+        a = np.zeros(self.shape)
+        a[self.rows, self.cols] = self.vals
+        return a
 
 
 @dataclass(frozen=True)
@@ -79,6 +131,14 @@ class _Columns:
             return binv[:, j - self.n].copy()
         s, e = self.starts[j], self.starts[j + 1]
         return (binv[:, self.rows[s:e]] * self.vals[s:e]).sum(axis=1)
+
+    def basis_matrix(self, basis: np.ndarray, m: int) -> np.ndarray:
+        """B: the m x m matrix of the structural columns listed in basis."""
+        bmat = np.zeros((m, len(basis)))
+        for k, j in enumerate(basis.tolist()):
+            s, e = self.starts[j], self.starts[j + 1]
+            bmat[self.rows[s:e], k] = self.vals[s:e]
+        return bmat
 
 
 def _leaving_row(alpha: np.ndarray, x_b: np.ndarray, basis: np.ndarray) -> int:
@@ -127,37 +187,35 @@ def _iterate(a: _Columns, cost, binv, x_b, basis, max_iters):
     raise SimplexError(f"simplex did not terminate within {max_iters} pivots")
 
 
-def _factor(lp: StandardLP, keep, basis, b):
-    """B^-1 and x_B for the basis columns on the kept rows, with the
-    rows whose right-hand side is negative negated."""
-    sign = np.where(lp.b[keep] < 0, -1.0, 1.0)
-    binv = np.linalg.inv(sign[:, None] * lp.a[np.ix_(keep, basis)])
-    return binv, binv @ b
+def _factor(a: _Columns, basis, b):
+    """B, B^-1 and x_B = B^-1 b for a basis of structural columns."""
+    bmat = a.basis_matrix(basis, len(b))
+    binv = np.linalg.inv(bmat)
+    return bmat, binv, binv @ b
 
 
 def solve_lp(lp: StandardLP, basis=None) -> LPSolution:
     """Optimize lp, from the given feasible basis (column ids, one per
     row) if there is one, else from phase 1.  A given basis that is
     malformed, singular or infeasible raises ValueError."""
-    m, n = lp.a.shape
-    cols, rows = np.nonzero(lp.a.T)
-    vals = lp.a[rows, cols]
-    vals[lp.b[rows] < 0] *= -1.0
+    m, n = lp.shape
+    rows, cols, vals = lp.rows, lp.cols, lp.vals
+    if (lp.b < 0).any():  # negate the rows whose right-hand side is negative
+        vals = np.where(lp.b[rows] < 0, -vals, vals)
     b = np.abs(lp.b)
     max_iters = max(200, 50 * (m + n))
     a = _Columns(rows, cols, vals, n)
-    keep = np.ones(m, dtype=bool)
 
     if basis is not None:
         basis = np.array(basis, dtype=np.intp)
         if basis.shape != (m,) or not ((basis >= 0) & (basis < n)).all():
             raise ValueError(f"starting basis must list {m} column ids in [0, {n})")
         try:
-            binv, x_b = _factor(lp, keep, basis, b)
+            bmat, binv, x_b = _factor(a, basis, b)
         except np.linalg.LinAlgError:
             raise ValueError("starting basis is singular") from None
         # 1-norm condition number of B from B^-1, which is already at hand
-        cond = np.abs(lp.a[:, basis]).sum(axis=0).max() * np.abs(binv).sum(axis=0).max()
+        cond = np.abs(bmat).sum(axis=0).max() * np.abs(binv).sum(axis=0).max()
         if not cond < 1e12:
             raise ValueError(f"starting basis is singular (condition number {cond:.3g})")
         if x_b.min(initial=0.0) < -1e-9 * (1.0 + b.max(initial=0.0)):
@@ -176,6 +234,7 @@ def solve_lp(lp: StandardLP, basis=None) -> LPSolution:
         # Drive remaining artificials out of the basis or drop their rows.
         # An artificial e_k left basic at position i makes row i of B^-1 A a
         # dependency with weight 1 on constraint k, so constraint k goes.
+        keep = np.ones(m, dtype=bool)
         for i in np.flatnonzero(basis >= n).tolist():
             big = np.flatnonzero(np.abs(a.price(binv[i])[:n]) > _PIVOT_TOL)
             if big.size:
@@ -187,7 +246,7 @@ def solve_lp(lp: StandardLP, basis=None) -> LPSolution:
             kept = keep[rows]
             a = _Columns((np.cumsum(keep) - 1)[rows[kept]], cols[kept], vals[kept], n)
             basis, b = basis[basis < n], b[keep]
-            binv, x_b = _factor(lp, keep, basis, b)
+            _bmat, binv, x_b = _factor(a, basis, b)
     status, pivots2, bland2 = _iterate(a, lp.c, binv, x_b, basis, max_iters)
     counters = dict(phase1_pivots=pivots1, phase2_pivots=pivots2, bland=bland1 or bland2)
     if status == "unbounded":
@@ -198,7 +257,8 @@ def solve_lp(lp: StandardLP, basis=None) -> LPSolution:
     x[np.abs(x) < 1e-12] = 0.0
     # B^-1 is updated in place through both phases, so rounding can
     # leave a basis that no longer solves the original system.
-    violation = max(np.abs(lp.a @ x - lp.b).max(initial=0.0), -x.min(initial=0.0))
+    residual = np.bincount(lp.rows, lp.vals * x[lp.cols], m) - lp.b
+    violation = max(np.abs(residual).max(initial=0.0), -x.min(initial=0.0))
     if violation > 1e-9 * (1.0 + np.abs(lp.b).max(initial=0.0)):
         raise SimplexError(f"final basis violates A x = b, x >= 0 by {violation:.3g}")
     return LPSolution(x=x, objective=float(lp.c @ x), status="optimal", **counters)

@@ -174,21 +174,25 @@ def solve_lifetime_lp(
     ns, t_col = len(sensors), len(flows)
     # rows: flow conservation (out - in - rate*T = 0) | energy caps
     # (transmissions + helper duty + slack = energy);
-    # columns: flows | T | energy slacks.
-    a = np.zeros((2 * ns, t_col + 1 + ns))
-    for k, (i, j, helpers) in enumerate(flows):
-        a[row_of[i], k] += 1.0
-        a[ns + row_of[i], k] += 1.0
-        if j in row_of:
-            a[row_of[j], k] -= 1.0
-        for h in helpers:
-            a[ns + row_of[h], k] += 1.0
-    for r, node in enumerate(sensors):
-        a[r, t_col] = -node.rate
-        a[ns + r, t_col + 1 + r] = 1.0
+    # columns: flows | T | energy slacks.  Entries that meet at one
+    # (row, col) add up, as a hand-made link set can make them do.
+    ends = [(row_of[i], row_of.get(j, -1)) for i, j, _h in flows]  # -1: into a sink
+    src, dst = np.array(ends, dtype=np.intp).reshape(-1, 2).T
+    duty = [(k, ns + row_of[h]) for k, (_i, _j, hs) in enumerate(flows[n_direct:], n_direct) for h in hs]
+    hk, hr = np.array(duty, dtype=np.intp).reshape(-1, 2).T
+    k, r, into = np.arange(t_col), np.arange(ns), dst >= 0
+    rows = np.concatenate([src, ns + src, dst[into], hr, r, ns + r])
+    cols = np.concatenate([k, k, k[into], hk, np.full(ns, t_col), t_col + 1 + r])
+    vals = np.concatenate([
+        np.ones(2 * t_col), -np.ones(into.sum()), np.ones(len(hk)),
+        [-n.rate for n in sensors], np.ones(ns),
+    ])
+    key, at = np.unique(cols * (2 * ns) + rows, return_inverse=True)
+    vals = np.bincount(at.ravel(), vals, len(key))
     b = np.array([0.0] * ns + [n.energy for n in sensors])
-    c = np.zeros(a.shape[1])
+    c = np.zeros(t_col + 1 + ns)
     c[t_col] = 1.0
+    lp = StandardLP.from_triplets(key % (2 * ns), key // (2 * ns), vals, (2 * ns, len(c)), b, c)
     # Crash basis: each sensor's min-hop tree edge plus every energy
     # slack.  Tree edges are triangular in hop order on the conservation
     # rows, so B is nonsingular, and x_B = (0, E) is feasible.
@@ -198,7 +202,7 @@ def solve_lifetime_lp(
         column = {(i, j): k for k, (i, j, _h) in enumerate(flows[:n_direct])}
         basis = [column[(n.id, tree[n.id])] for n in sensors]
         basis += range(t_col + 1, t_col + 1 + ns)
-    sol = solve_lp(StandardLP(a=a, b=b, c=c), basis)
+    sol = solve_lp(lp, basis)
     if sol.status != "optimal":
         return FlowSolution(qhat={}, lifetime=0.0, energy_used={}, status=sol.status)
 

@@ -246,3 +246,76 @@ class TestCounters:
         assert sol.phase1_pivots > 32
         assert sol.objective == pytest.approx(enumerate_vertices(lp), abs=1e-9)
         assert sol.objective == pytest.approx(1.25, abs=1e-9)
+
+
+def triplets(a):
+    """(rows, cols, vals) of a's nonzeros, in row-major order."""
+    rows, cols = np.nonzero(a)
+    return rows, cols, a[rows, cols]
+
+
+class TestStandardLP:
+    def test_dense_and_triplet_forms_store_the_same_arrays(self):
+        a = np.array([[0.0, 2.0, 0.0, -1.0], [3.0, 0.0, 0.0, 4.0], [0.0, 5.0, 6.0, 0.0]])
+        b, c = [1.0, 2.0, 3.0], [1.0, 0.0, 0.0, 0.0]
+        dense = StandardLP(a=a, b=b, c=c)
+        rows, cols, vals = triplets(a)
+        # shuffled, with an explicit zero that must not be stored
+        order = np.random.default_rng(1).permutation(len(vals) + 1)
+        rows, cols, vals = (np.append(v, z)[order] for v, z in ((rows, 0), (cols, 2), (vals, 0.0)))
+        sparse = StandardLP.from_triplets(rows, cols, vals, a.shape, b, c)
+        for lp in (dense, sparse):
+            assert lp.cols.tolist() == [0, 1, 1, 2, 3, 3]
+            assert lp.rows.tolist() == [1, 0, 2, 2, 0, 1]
+            assert lp.vals.tolist() == [3.0, 2.0, 5.0, 6.0, -1.0, 4.0]
+            assert lp.shape == (3, 4) and np.array_equal(lp.a, a)
+
+    def test_random_lps_solve_alike_in_both_forms(self):
+        # acceptance 6's LPs, from phase 1 and from a feasible basis
+        rng = np.random.default_rng(606)
+        for trial in range(20):
+            m = int(rng.integers(2, 5))
+            n = int(rng.integers(m + 1, 10))
+            dense = random_feasible_lp(rng, m, n)
+            rows, cols, vals = triplets(dense.a)
+            order = rng.permutation(len(vals))
+            sparse = StandardLP.from_triplets(
+                rows[order], cols[order], vals[order], dense.shape, dense.b, dense.c)
+            for basis in (None, first_feasible_basis(dense)):
+                one, two = solve_lp(dense, basis), solve_lp(sparse, basis)
+                assert one.x.tobytes() == two.x.tobytes(), trial
+                assert (one.objective, one.phase1_pivots, one.phase2_pivots, one.bland) == (
+                    two.objective, two.phase1_pivots, two.phase2_pivots, two.bland), trial
+
+    @pytest.mark.parametrize(
+        "a, b, c, message",
+        [
+            ([[np.nan, 1.0]], [1.0], [1.0, 0.0], "A has a NaN"),
+            ([[1.0, 1.0]], [np.nan], [1.0, 0.0], "b has a NaN"),
+            ([[np.inf, 1.0]], [1.0], [1.0, 0.0], "A has a NaN or inf"),
+            ([[1.0, 1.0]], [1.0], [-np.inf, 0.0], "c has a NaN or inf"),
+        ],
+        ids=["nan-in-a", "nan-in-b", "inf-in-a", "inf-in-c"],
+    )
+    def test_rejects_non_finite_data(self, a, b, c, message):
+        with pytest.raises(ValueError, match=message):
+            StandardLP(a=a, b=b, c=c)
+        with pytest.raises(ValueError, match=message):
+            StandardLP.from_triplets([0, 0], [0, 1], np.ravel(a), (1, 2), b, c)
+
+    @pytest.mark.parametrize(
+        "rows, cols, vals, shape, message",
+        [
+            ([0, 0], [0], [1.0, 1.0], (1, 2), "one length"),
+            ([0, 1], [0, 1], [1.0, 1.0], (1, 2), "outside"),
+            ([0, 0], [0, 2], [1.0, 1.0], (1, 2), "outside"),
+            ([0, -1], [0, 1], [1.0, 1.0], (1, 2), "outside"),
+            ([0, 0, 0], [1, 0, 1], [1.0, 1.0, 2.0], (1, 2), "twice"),
+            ([0, 0], [0, 1], [1.0, 1.0], (2, 2), "inconsistent"),
+        ],
+        ids=["unequal-lengths", "row-out-of-range", "col-out-of-range", "negative-row",
+             "duplicate", "shape-disagrees"],
+    )
+    def test_rejects_malformed_triplets(self, rows, cols, vals, shape, message):
+        with pytest.raises(ValueError, match=message):
+            StandardLP.from_triplets(rows, cols, vals, shape, [5.0], [1.0, 0.0])

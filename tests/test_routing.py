@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from wsnlife import routing
 from wsnlife.harness import generate_topology
-from wsnlife.lpsolver import solve_lp
+from wsnlife.lpsolver import StandardLP, solve_lp
 from wsnlife.routing import (
     CostParams,
     LinkSet,
@@ -239,6 +239,7 @@ class TestLifetimeLp:
         self, phy, snapshot_nodes, monkeypatch, seed, with_coop
     ):
         nodes = snapshot_nodes if seed is None else generate_topology(12, 80.0, seed)
+        nodes = [replace(v, rate=0.0) if v.id == 3 else v for v in nodes]  # one rate-0 sensor
         links = build_links(nodes, phy)
         captured = []
         solve = routing.solve_lp
@@ -249,6 +250,18 @@ class TestLifetimeLp:
         a, b, c = reference_lp_matrix(nodes, links, with_coop)
         (lp,) = captured
         assert lp.a.shape == a.shape
+        assert np.array_equal(lp.a, a) and np.array_equal(lp.b, b) and np.array_equal(lp.c, c)
+
+    def test_coinciding_entries_add_up(self, phy, snapshot_nodes, monkeypatch):
+        # A hand-made self-loop cancels on its conservation row, and a
+        # coop link helped by its own source costs it 2 per unit.
+        links = build_links(snapshot_nodes, phy)
+        links = LinkSet(direct=links.direct | {(4, 4)}, coop={**links.coop, (4, 1): (4,)})
+        calls = capture_lps(monkeypatch)
+        solve_lifetime_lp(snapshot_nodes, links, with_coop=True)
+        ((lp, _basis, sol),) = calls
+        assert sol.status == "optimal"
+        a, b, c = reference_lp_matrix(snapshot_nodes, links, True)
         assert np.array_equal(lp.a, a) and np.array_equal(lp.b, b) and np.array_equal(lp.c, c)
 
     def test_single_hop(self, phy):
@@ -388,6 +401,60 @@ def reference_min_hop_next(nodes, links):
         for v in hops
         if v not in sinks
     }
+
+
+def assert_solves_alike(lp, twin, basis=None):
+    """Two StandardLPs of one A solve to the same bits and counters."""
+    one, two = solve_lp(lp, basis), solve_lp(twin, basis)
+    assert one.x.tobytes() == two.x.tobytes()
+    assert (one.objective, one.status) == (two.objective, two.status)
+    assert (one.phase1_pivots, one.phase2_pivots, one.bland) == (
+        two.phase1_pivots, two.phase2_pivots, two.bland)
+
+
+class TestSparseAssembly:
+    """solve_lifetime_lp hands solve_lp A as triplets; the dense twin
+    StandardLP(a=lp.a, ...) is the same LP."""
+
+    @pytest.mark.parametrize("with_coop", [False, True])
+    @pytest.mark.parametrize("n", [20, 30, 60, 100])
+    def test_dense_twin_has_the_same_triplets_and_solve(self, phy, monkeypatch, n, with_coop):
+        nodes, links = connected_topology(phy, n, n)
+        nodes = [replace(v, rate=0.0) if v.id == 3 else v for v in nodes]  # no stored zero
+        calls = capture_lps(monkeypatch)
+        solve_lifetime_lp(nodes, links, with_coop=with_coop)
+        ((lp, basis, _sol),) = calls
+        twin = StandardLP(a=lp.a, b=lp.b, c=lp.c)
+        for name in ("rows", "cols", "vals", "b", "c"):
+            assert np.array_equal(getattr(lp, name), getattr(twin, name)), name
+        assert (lp.vals != 0.0).all()
+        assert_solves_alike(lp, twin, basis)
+        assert_solves_alike(lp, twin)
+
+    def test_phase1_topology_solves_alike(self, phy, monkeypatch):
+        # test_coop_only_sensor_takes_phase1's network: no crash basis
+        a0 = phy.hop_range()
+        nodes = [
+            SensorNode(id=1, x=0.0, y=0.0, rate=-2.0),
+            SensorNode(id=2, x=1.05 * a0, y=0.0),
+            SensorNode(id=3, x=1.3 * a0, y=0.0),
+        ]
+        calls = capture_lps(monkeypatch)
+        solve_lifetime_lp(nodes, build_links(nodes, phy), with_coop=True)
+        ((lp, basis, sol),) = calls
+        assert basis is None and sol.phase1_pivots > 0
+        assert_solves_alike(lp, StandardLP(a=lp.a, b=lp.b, c=lp.c))
+
+    @pytest.mark.parametrize("with_coop", [False, True])
+    def test_no_dense_matrix_on_the_solve_path(self, phy, monkeypatch, with_coop):
+        def dense(lp):
+            raise AssertionError("the dense view of A was read")
+
+        nodes, links = connected_topology(phy, 30, 3)
+        expected = solve_lifetime_lp(nodes, links, with_coop=with_coop)
+        monkeypatch.setattr(StandardLP, "a", property(dense))
+        sol = solve_lifetime_lp(nodes, links, with_coop=with_coop)
+        assert sol == expected
 
 
 class TestCrashBasis:
