@@ -159,9 +159,12 @@ def solve_lifetime_lp(
     Variables: one flow per direct link, one per cooperative link (if
     enabled), slacks for the energy caps, and the lifetime itself.
     A cooperative unit of flow consumes one energy unit at the
-    transmitter and one at each helper.  Raises ValueError when no
-    sensor has a positive rate, where the lifetime is unbounded.
+    transmitter and one at each helper.  Raises ValueError when the
+    network has no sink, or when no sensor has a positive rate, where
+    the lifetime is unbounded.
     """
+    if not any(n.is_sink for n in nodes):
+        raise ValueError("network has no sink")
     sensors = [n for n in nodes if not n.is_sink]
     if not any(n.rate > 0 for n in sensors):
         raise ValueError("no sensor has a positive rate, so the lifetime is unbounded")
@@ -238,16 +241,43 @@ def dynamic_cost(initial: float, remaining: float, beta: float) -> float:
 def _least_cost_path(
     src: int,
     is_sink: list[bool],
-    groups: list[list[tuple[tuple[int, ...], list[int]]]],
+    groups: list[list[tuple[tuple[int, ...], list[int], list[int]]]],
     tx: list[float],
     helper: list[float],
 ) -> list[tuple[int, tuple[int, ...]]] | None:
     """Deterministic Dijkstra on dense node indexes over direct and
     cooperative links.  groups[u] holds u's out-edges as (helpers,
-    targets), direct links under (); a group's links all cost
-    tx[u] + helper[h] per helper.  Ties are broken toward the lower
-    predecessor index, then the lower sink index.  Returns the path as
-    (transmitter, helpers) edges."""
+    sink targets, relay targets), direct links under (); a group's
+    links all cost tx[u] + helper[h] per helper.  Ties are broken
+    toward the lower predecessor index, then the lower sink index.
+    Returns the path as (transmitter, helpers) edges.
+
+    The search drops what cannot beat the best sink reached.  Relaxing
+    a sink at nd lowers cut to nd*(1 + 1e-12) + 1e-12 if that is
+    lower.  A group whose links reach past cut is skipped, and so are
+    its relay targets once nd + 1 > cut.  The path is still that of
+    the unbounded search:
+
+    - Every link costs at least 1 (each finite cost term is at least
+      1), so pops come in nondecreasing order.  The search returns at
+      the first sink popped, at some D no greater than any sink value
+      relaxed before.  So cut exceeds D by about 1e-12*(1 + D): far
+      more than the 1e-15 tie tolerance, and than any rounding.
+    - A skipped group value is above cut.  A skipped relay at nd leads
+      only to values of at least fl(nd + 1) > cut: one more link,
+      rounded monotonically.  Whatever the unbounded search does with
+      a skipped target thus leads only above cut.  Its heap entries pop
+      after the sink, and it cannot be on the sink's path.
+    - A skipped update can also change a later test on its target, but
+      only for a candidate within 1e-15 of the skipped value, and such
+      a candidate again leads only above cut less 1e-15.  Each further
+      near-tie moves the difference down by at most 1e-15, and a node
+      gets at most two candidates per predecessor.  So a difference
+      cannot reach a value at or below D, where every test comes out
+      alike, unless n is in the thousands.
+    - Targets in one group are independent, so scanning its sinks
+      first changes no node's state.
+    """
     n = len(tx)
     dist = [math.inf] * n
     pred = [0] * n
@@ -256,6 +286,7 @@ def _least_cost_path(
     dist[src] = 0.0
     heap = [(0.0, src)]
     pop, push = heapq.heappop, heapq.heappush
+    cut = math.inf
     while heap:
         d, u = pop(heap)
         if done[u]:
@@ -270,14 +301,27 @@ def _least_cost_path(
         t = tx[u]
         if t == math.inf:
             continue
-        for helpers, targets in groups[u]:
+        for helpers, sinks, relays in groups[u]:
             w = t
             for h in helpers:
                 w += helper[h]
             if w == math.inf:
                 continue
             nd = d + w
-            for v in targets:
+            if nd > cut:
+                continue
+            # A finalized sink would have ended the search.
+            for v in sinks:
+                dv = dist[v]
+                if nd < dv - 1e-15 or (abs(nd - dv) <= 1e-15 and u < pred[v]):
+                    dist[v] = nd
+                    pred[v] = u
+                    via[v] = helpers
+                    push(heap, (nd, v))
+                    cut = min(cut, nd * (1 + 1e-12) + 1e-12)
+            if nd + 1.0 > cut:
+                continue
+            for v in relays:
                 # Every cost term is >= 1, so an edge into a finalized
                 # node can pass neither test below.
                 if done[v]:
@@ -292,16 +336,21 @@ def _least_cost_path(
 
 
 def _weight_groups(
-    links: LinkSet, i: int, index: dict[int, int]
-) -> list[tuple[tuple[int, ...], list[int]]]:
+    links: LinkSet, i: int, index: dict[int, int], is_sink: list[bool]
+) -> list[tuple[tuple[int, ...], list[int], list[int]]]:
     """Node i's out-edges on dense indexes, grouped by helper tuple:
     direct targets under (), then each helper tuple's coop targets,
-    every group in ascending target order."""
+    each group split into its sink and its relay targets, both in
+    ascending target order."""
     groups = {(): [index[v] for v in links.direct_out(i)]}
     for m in links.coop_succ.get(i, ()):
         helpers = tuple(index[h] for h in links.coop[(i, m)])
         groups.setdefault(helpers, []).append(index[m])
-    return [(helpers, targets) for helpers, targets in groups.items() if targets]
+    return [
+        (helpers, [v for v in targets if is_sink[v]], [v for v in targets if not is_sink[v]])
+        for helpers, targets in groups.items()
+        if targets
+    ]
 
 
 def simulate_dynamic(
@@ -320,9 +369,12 @@ def simulate_dynamic(
     nonnegative integer (anything else raises a ValueError naming the
     node); the default
     emits round(node.rate) packets and raises ValueError if that is
-    none at all.  Returns completed rounds plus the delivered fraction
-    of the failing round.
+    none at all.  Raises ValueError if the network has no sink.
+    Returns completed rounds plus the delivered fraction of the failing
+    round.
     """
+    if not any(n.is_sink for n in nodes):
+        raise ValueError("network has no sink")
     rng = np.random.default_rng(seed)
     if traffic is None:
         if sum(int(round(n.rate)) for n in nodes if n.rate > 0) == 0:
@@ -337,7 +389,7 @@ def simulate_dynamic(
     initial = [by_id[i].energy for i in ids]
     remaining = list(initial)
     origins = [(index[i], by_id[i]) for i in ids if by_id[i].rate > 0]
-    groups = [_weight_groups(links, i, index) for i in ids]
+    groups = [_weight_groups(links, i, index, is_sink) for i in ids]
     tx = [dynamic_cost(e, e, params.beta1) for e in initial]
     helper = [dynamic_cost(e, e, params.beta2) for e in initial]
 

@@ -302,6 +302,15 @@ class TestLifetimeLp:
         sol = solve_lifetime_lp(nodes, links)
         assert sol.lifetime == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("with_coop", [False, True])
+    def test_no_sink_raises(self, phy, with_coop):
+        # with every node a sensor, T = 0 and circulations that deliver
+        # nothing would come back as the optimum
+        nodes = generate_topology(10, 80.0, 4)
+        nodes[0] = replace(nodes[0], rate=1.0)
+        with pytest.raises(ValueError, match="network has no sink"):
+            solve_lifetime_lp(nodes, build_links(nodes, phy), with_coop=with_coop)
+
     def test_no_positive_rate_raises(self, phy):
         # the lifetime is unbounded, as in the other two algorithms
         a0 = phy.hop_range()
@@ -617,6 +626,206 @@ def assert_matches_reference(nodes, links, rng, traffic, seed):
     )
 
 
+def unbounded_least_cost_path(
+    src: int,
+    is_sink: list[bool],
+    groups: list[list[tuple[tuple[int, ...], list[int]]]],
+    tx: list[float],
+    helper: list[float],
+) -> list[tuple[int, tuple[int, ...]]] | None:
+    """Deterministic Dijkstra on dense node indexes over direct and
+    cooperative links.  groups[u] holds u's out-edges as (helpers,
+    targets), direct links under (); a group's links all cost
+    tx[u] + helper[h] per helper.  Ties are broken toward the lower
+    predecessor index, then the lower sink index.  Returns the path as
+    (transmitter, helpers) edges."""
+    n = len(tx)
+    dist = [math.inf] * n
+    pred = [0] * n
+    via: list[tuple[int, ...]] = [()] * n
+    done = [False] * n
+    dist[src] = 0.0
+    heap = [(0.0, src)]
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        d, u = pop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        if is_sink[u]:
+            path = []
+            while u != src:
+                path.append((pred[u], via[u]))
+                u = pred[u]
+            return path[::-1]
+        t = tx[u]
+        if t == math.inf:
+            continue
+        for helpers, targets in groups[u]:
+            w = t
+            for h in helpers:
+                w += helper[h]
+            if w == math.inf:
+                continue
+            nd = d + w
+            for v in targets:
+                # Every cost term is >= 1, so an edge into a finalized
+                # node can pass neither test below.
+                if done[v]:
+                    continue
+                dv = dist[v]
+                if nd < dv - 1e-15 or (abs(nd - dv) <= 1e-15 and u < pred[v]):
+                    dist[v] = nd
+                    pred[v] = u
+                    via[v] = helpers
+                    push(heap, (nd, v))
+    return None
+
+
+def unsplit_weight_groups(
+    links: LinkSet, i: int, index: dict[int, int]
+) -> list[tuple[tuple[int, ...], list[int]]]:
+    """Node i's out-edges on dense indexes, grouped by helper tuple:
+    direct targets under (), then each helper tuple's coop targets,
+    every group in ascending target order."""
+    groups = {(): [index[v] for v in links.direct_out(i)]}
+    for m in links.coop_succ.get(i, ()):
+        helpers = tuple(index[h] for h in links.coop[(i, m)])
+        groups.setdefault(helpers, []).append(index[m])
+    return [(helpers, targets) for helpers, targets in groups.items() if targets]
+
+
+def assert_same_paths(links, ids, sinks, tx, helper):
+    """The bounded search returns the unbounded search's path, or
+    None, from every non-sink origin, and its groups are the unsplit
+    groups with each split into sinks and relays."""
+    index = {i: k for k, i in enumerate(ids)}
+    is_sink = [i in sinks for i in ids]
+    split = [routing._weight_groups(links, i, index, is_sink) for i in ids]
+    whole = [unsplit_weight_groups(links, i, index) for i in ids]
+    for s, w in zip(split, whole):
+        assert [(h, sorted(a + b)) for h, a, b in s] == w
+        assert all(is_sink[v] for _h, a, _b in s for v in a)
+        assert not any(is_sink[v] for _h, _a, b in s for v in b)
+    for src in range(len(ids)):
+        if not is_sink[src]:
+            want = unbounded_least_cost_path(src, is_sink, whole, tx, helper)
+            got = routing._least_cost_path(src, is_sink, split, tx, helper)
+            assert got == want, (src, tx, helper)
+
+
+def bounded_path(links, n, sinks, src, tx, helper):
+    """The bounded search from src over nodes 0 .. n-1."""
+    is_sink = [k in sinks for k in range(n)]
+    index = {k: k for k in range(n)}
+    groups = [routing._weight_groups(links, k, index, is_sink) for k in range(n)]
+    return routing._least_cost_path(src, is_sink, groups, tx, helper)
+
+
+def random_link_set(rng, ids):
+    """Direct links at random, and coop links under one- and
+    two-helper tuples, some of them onto a target the transmitter also
+    reaches directly."""
+    direct = {(i, j) for i in ids for j in ids if i != j and rng.random() < 0.3}
+    coop = {}
+    for i in ids:
+        for j in ids:
+            if i != j and rng.random() < 0.15:
+                others = [h for h in ids if h not in (i, j)]
+                size = int(rng.integers(1, 3))
+                coop[(i, j)] = tuple(int(h) for h in rng.choice(others, size, replace=False))
+    return LinkSet(direct=frozenset(direct), coop=coop)
+
+
+BIG = 2.0**53
+# Cost-term vectors per regime: exact ties, ties closer than 1e-15,
+# terms near 2**53 and 1e20 where adding 1.0 is absorbed or lost, and
+# infinite terms.
+COST_REGIMES = {
+    "exact_ties": lambda rng, n: rng.integers(1, 4, n).astype(float),
+    "near_ties": lambda rng, n: rng.integers(1, 4, n) + rng.integers(0, 3, n) * 2.0**-51,
+    "near_2_53": lambda rng, n: rng.choice([1.0, BIG - 1.0, BIG, BIG + 2.0], n),
+    "near_1e20": lambda rng, n: rng.choice([1.0, 2.0, 1e20, np.nextafter(1e20, np.inf)], n),
+    "infinite": lambda rng, n: np.where(rng.random(n) < 0.25, np.inf, rng.integers(1, 4, n)),
+    "spread": lambda rng, n: np.exp(rng.uniform(0.0, 12.0, n)),
+}
+
+
+class TestBoundedSearch:
+    """_least_cost_path stops at what can still beat the best sink
+    reached; unbounded_least_cost_path, the search without that bound,
+    is its oracle path for path."""
+
+    @pytest.mark.parametrize("regime", sorted(COST_REGIMES))
+    def test_random_link_sets(self, regime):
+        rng = np.random.default_rng(sorted(COST_REGIMES).index(regime))
+        draw = COST_REGIMES[regime]
+        for _ in range(40):
+            n = int(rng.integers(4, 13))
+            ids = sorted(int(i) for i in rng.choice(5 * n, n, replace=False))
+            sinks = set(int(i) for i in rng.choice(ids, int(rng.integers(1, 4)), replace=False))
+            links = random_link_set(rng, ids)
+            tx, helper = draw(rng, n).tolist(), draw(rng, n).tolist()
+            assert_same_paths(links, ids, sinks, tx, helper)
+
+    @pytest.mark.parametrize("regime", sorted(COST_REGIMES))
+    def test_built_links(self, phy, regime):
+        rng = np.random.default_rng(10 + sorted(COST_REGIMES).index(regime))
+        draw = COST_REGIMES[regime]
+        for _ in range(10):
+            n = int(rng.integers(8, 25))
+            nodes = generate_topology(n, 100.0, int(rng.integers(2**31)))
+            ids = [v.id for v in nodes]
+            sinks = {0} | set(int(i) for i in rng.choice(ids[1:], int(rng.integers(0, 3)), replace=False))
+            tx, helper = draw(rng, n).tolist(), draw(rng, n).tolist()
+            assert_same_paths(build_links(nodes, phy), ids, sinks, tx, helper)
+
+    def test_direct_and_coop_to_one_target(self):
+        # node 3 reaches sink 0 and relay 1 both directly and with
+        # helper 4; node 2 reaches 0 directly and with helpers (1, 4)
+        direct = frozenset({(3, 0), (3, 1), (3, 2), (1, 0), (2, 0), (4, 1)})
+        coop = {(3, 0): (4,), (3, 1): (4,), (2, 0): (1, 4), (4, 0): (2,)}
+        links = LinkSet(direct=direct, coop=coop)
+        for tx in ([1.0] * 5, [1.0, 1.0, 2.0, 5.0, 1.0], [1.0, 1.5, 1.0, 2.0, math.inf]):
+            for helper in ([1.0] * 5, [1.0, 0.5 + 2**-52, 3.0, 1.0, 1e-3], [math.inf] * 5):
+                assert_same_paths(links, list(range(5)), {0}, tx, helper)
+
+    def test_near_tie_goes_to_lower_predecessor(self):
+        # sink 0 is reached first through node 2 at 1 + 3 = 4, then
+        # through node 1 at 2 + tx[1] = 4 + 2**-50, within 1e-15 and
+        # from the lower index: the tie rule moves the sink to node 1,
+        # which a cut at the first sink value would hide
+        links = LinkSet(direct=frozenset({(3, 2), (2, 0), (1, 0)}), coop={(3, 1): (4,)})
+        tx = [1.0, 2.0 + 2.0**-50, 3.0, 1.0, 1.0]
+        helper = [1.0] * 5
+        assert 0.0 < (2.0 + tx[1]) - (1.0 + tx[2]) < 1e-15
+        assert bounded_path(links, 5, {0}, 3, tx, helper) == [(3, (4,)), (1, ())]
+        assert_same_paths(links, list(range(5)), {0}, tx, helper)
+
+    def test_relay_one_unit_below_the_cut(self):
+        # sink 0 is first reached through node 1 at 1 + 3 = 4; relay 3,
+        # reached later at 1.5 + 1 = 2.5, leads to it at 3.5: a relay
+        # is dropped only once even its cheapest next link lands past
+        # the cut
+        links = LinkSet(direct=frozenset({(4, 1), (1, 0), (2, 3), (3, 0)}), coop={(4, 2): (5,)})
+        tx = [1.0, 3.0, 1.0, 1.0, 1.0, 1.0]
+        helper = [1.0, 1.0, 1.0, 1.0, 1.0, 0.5]
+        assert bounded_path(links, 6, {0}, 4, tx, helper) == [(4, (5,)), (2, ()), (3, ())]
+        assert_same_paths(links, list(range(6)), {0}, tx, helper)
+
+    def test_absorbed_unit_step(self):
+        # at 2**53 and at 1e20 a unit link adds nothing: sink 2, reached
+        # from origin 3 directly, is reached at the same cost through
+        # relay 1, and the tie moves it to the lower predecessor
+        links = LinkSet(direct=frozenset({(3, 1), (3, 2), (1, 2), (3, 0), (0, 2)}), coop={})
+        for big in (BIG, 1e20):
+            tx = [1e5, 1.0, 1.0, big]
+            assert big + tx[1] == big
+            assert bounded_path(links, 4, {2}, 3, tx, [1.0] * 4) == [(3, ()), (1, ())]
+            for sinks in ({2}, {0, 2}, {1, 2}):
+                assert_same_paths(links, list(range(4)), sinks, tx, [1.0] * 4)
+
+
 class TestDynamicCost:
     def test_full_energy_direct(self):
         # a direct link costs its transmitter's term alone: 1.0 at full energy
@@ -670,6 +879,13 @@ class TestSimulateDynamic:
         nodes[1] = replace(nodes[1], rate=rate)
         with pytest.raises(ValueError, match="no sensor emits a packet"):
             simulate_dynamic(nodes, build_links(nodes, phy), max_rounds=10)
+
+    def test_no_sink_raises(self, phy):
+        # not a lifetime of 0.0 rounds
+        nodes = generate_topology(10, 80.0, 4)
+        nodes[0] = replace(nodes[0], rate=1.0)
+        with pytest.raises(ValueError, match="network has no sink"):
+            simulate_dynamic(nodes, build_links(nodes, phy))
 
     def test_at_least_static_baseline(self, phy, snapshot_nodes):
         # larger batteries so the round granularity does not dominate
