@@ -14,38 +14,35 @@ import json
 import sys
 
 from . import harness
+from .gainmodels import PhyParams, db_to_linear, dbm_to_watts
 from .lpsolver import SimplexError
 from .numerics import ConvergenceError
 from .routing import CostParams, NoRouteError, build_links, simulate_dynamic, solve_lifetime_lp
 
-# physical-layer flag dest -> (PhyParams field, conversion to its unit)
+# physical-layer flag dest -> (flag type, PhyParams field, conversion
+# to the field's unit)
 _PHY_FLAGS = {
-    "power_dbm": ("power", harness.dbm_to_watts),
-    "noise_dbm": ("noise", harness.dbm_to_watts),
-    "alpha": ("alpha", float),
-    "snr_db": ("snr_min", harness.db_to_linear),
-    "wavelength": ("wavelength", float),
-    "density": ("density", float),
-    "packet_len": ("packet_len", int),
+    "power_dbm": (float, "power", dbm_to_watts),
+    "noise_dbm": (float, "noise", dbm_to_watts),
+    "alpha": (float, "alpha", float),
+    "snr_db": (float, "snr_min", db_to_linear),
+    "wavelength": (float, "wavelength", float),
+    "density": (float, "density", float),
+    "packet_len": (int, "packet_len", int),
 }
 
 
-def _phy_from_args(given: dict) -> "harness.PhyParams":
+def _phy_from_args(given: dict) -> PhyParams:
     """The PhyParams defaults, overridden by each physical-layer flag
     that was given; those flags are taken out of given."""
     return harness.default_phy(
-        **{field: conv(given.pop(dest)) for dest, (field, conv) in _PHY_FLAGS.items() if dest in given}
+        **{field: conv(given.pop(dest)) for dest, (_t, field, conv) in _PHY_FLAGS.items() if dest in given}
     )
 
 
 def _add_phy_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--power-dbm", type=float)
-    p.add_argument("--noise-dbm", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--snr-db", type=float)
-    p.add_argument("--wavelength", type=float)
-    p.add_argument("--density", type=float)
-    p.add_argument("--packet-len", type=int)
+    for dest, (kind, _field, _conv) in _PHY_FLAGS.items():
+        p.add_argument("--" + dest.replace("_", "-"), type=kind)
 
 
 def build_parser() -> argparse.ArgumentParser:

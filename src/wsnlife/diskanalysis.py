@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .gainmodels import PhyParams, UnreachableGainError, invert_cluster_size, invert_cluster_sizes
+from .gainmodels import PhyParams, invert_cluster_size, invert_cluster_sizes
 
 __all__ = [
     "DiskScenario",
@@ -117,23 +117,19 @@ def cluster_size_for_ring(b: float, scenario: DiskScenario) -> int:
     """Cluster size needed at radius b to reach the sink in one shot,
     or 0 where the mode's gain model cannot reach it (the ring forwards)."""
     _check_radius(b, scenario)
-    try:
-        return invert_cluster_size(_required_gain(b, scenario), scenario.mode, scenario.phy)
-    except UnreachableGainError:
-        return 0
+    return invert_cluster_size(_required_gain(b, scenario), scenario.mode, scenario.phy)
 
 
-def _tables(scenario: DiskScenario, cluster_sizes: Sequence[int] | None = None):
-    """Rings, relay chains, cluster sizes (inverted in one batch unless
-    given, 0 where unreachable) and pure-forwarding loads, built once
-    per profile."""
+def _tables(scenario: DiskScenario):
+    """Rings, relay chains, cluster sizes (inverted in one batch, 0
+    where unreachable) and pure-forwarding loads, built once per
+    profile."""
     rings = scenario.rings()
     chains = [_chain(b, scenario) for b in rings]
-    if cluster_sizes is None:
-        targets = [_required_gain(b, scenario) for b in rings]
-        cluster_sizes = invert_cluster_sizes(targets, scenario.mode, scenario.phy)
+    targets = [_required_gain(b, scenario) for b in rings]
+    sizes = invert_cluster_sizes(targets, scenario.mode, scenario.phy)
     no_bypass = [0.0] * len(rings)
-    return rings, chains, list(cluster_sizes), [_load(chain, no_bypass) for chain in chains]
+    return rings, chains, sizes, [_load(chain, no_bypass) for chain in chains]
 
 
 def _sweep(p_r: list[float], chains, cluster_sizes, rule=None) -> tuple[list[float], list[float]]:
@@ -150,20 +146,12 @@ def _sweep(p_r: list[float], chains, cluster_sizes, rule=None) -> tuple[list[flo
     return n_joint, loads
 
 
-def njoint_profile(
-    p_r: Sequence[float],
-    scenario: DiskScenario,
-    cluster_sizes: Sequence[int] | None = None,
-) -> list[float]:
+def njoint_profile(p_r: Sequence[float], scenario: DiskScenario) -> list[float]:
     """Per-ring transmissions per node when each ring bypasses with
-    its given probability.
-
-    cluster_sizes, if given, replace the gain-model inversion (tests use
-    it to force cluster sizes).
-    """
+    its given probability."""
     if len(p_r) != scenario.grid:
         raise ValueError("one bypass probability per ring required")
-    _, chains, sizes, _ = _tables(scenario, cluster_sizes)
+    _, chains, sizes, _ = _tables(scenario)
     return _sweep(list(p_r), chains, sizes)[0]
 
 

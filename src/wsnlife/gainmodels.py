@@ -21,7 +21,6 @@ __all__ = [
     "ClusterGeometry",
     "GainEstimate",
     "ApproximationDomainError",
-    "UnreachableGainError",
     "cb_gain_bound",
     "cb_gain_monte_carlo",
     "ct_azimuth_average",
@@ -62,10 +61,6 @@ _N_MAX = 10**6
 class ApproximationDomainError(ValueError):
     """Inputs fall outside the validity region of a closed-form
     approximation."""
-
-
-class UnreachableGainError(ValueError):
-    """No admissible cluster size achieves the requested gain."""
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -406,23 +401,20 @@ def _ct_cluster_sizes(targets: np.ndarray, phy: PhyParams) -> np.ndarray:
     """For each target above 1, the smallest cluster size whose
     closed-form CT gain reaches it, or 0 if no size does.
 
-    The bracket of each target is the one a doubling search from 2
-    finds: the first power of two whose gain reaches it (past _N_MAX
-    every gain is inf).  Then all targets bisect their brackets in
-    lockstep, and each step evaluates the closed form once for the
-    distinct sizes it asks for.
+    All targets bisect the sizes 2 .. _N_MAX + 1 in lockstep, and each
+    step evaluates the closed form once for the distinct sizes it asks
+    for.  The gain is nondecreasing in the size and inf at _N_MAX + 1,
+    so each bisection ends on the first size that reaches its target,
+    and a size whose gain is inf stands for no size at all.
     """
 
     def gain(sizes: np.ndarray) -> np.ndarray:
         distinct, where = np.unique(sizes, return_inverse=True)
         return _ct_size_gains(distinct, phy)[where]
 
-    ladder = 2 ** np.arange(1, _N_MAX.bit_length() + 1)
-    rung = np.searchsorted(gain(ladder), targets)
-    # bisect the sizes [lo, hi) above the last rung short of the target
-    lo = np.where(rung > 0, ladder[rung - 1], 1) + 1
-    hi = ladder[rung] + 1
-    active = np.flatnonzero(lo < hi)
+    lo = np.full(targets.shape, 2, np.int64)
+    hi = np.full(targets.shape, _N_MAX + 1, np.int64)
+    active = np.arange(targets.size)
     while active.size:
         mid = (lo[active] + hi[active]) // 2
         below = gain(mid) < targets[active]
@@ -475,13 +467,6 @@ def invert_cluster_sizes(required_gains, mode: str, phy: PhyParams) -> list[int]
 
 
 def invert_cluster_size(required_gain: float, mode: str, phy: PhyParams) -> int:
-    """Smallest cluster size whose gain model reaches required_gain
-    (see invert_cluster_sizes); raises UnreachableGainError where none
-    does."""
-    n = invert_cluster_sizes([required_gain], mode, phy)[0]
-    if n == 0:
-        raise UnreachableGainError(
-            f"no cluster of size <= {_N_MAX} inside the CT closed form's domain "
-            f"reaches gain {required_gain}"
-        )
-    return n
+    """Smallest cluster size whose gain model reaches required_gain, or
+    0 where no admissible size does (see invert_cluster_sizes)."""
+    return invert_cluster_sizes([required_gain], mode, phy)[0]

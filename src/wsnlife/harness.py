@@ -21,8 +21,6 @@ from .gainmodels import (
     cb_gain_monte_carlo,
     ct_gain_closed_form,
     ct_gain_monte_carlo,
-    db_to_linear,
-    dbm_to_watts,
 )
 from .routing import (
     NoRouteError,
@@ -36,8 +34,6 @@ log = logging.getLogger(__name__)
 
 __all__ = [
     "ResultTable",
-    "dbm_to_watts",
-    "db_to_linear",
     "default_phy",
     "generate_topology",
     "load_topology",
@@ -293,9 +289,8 @@ def run_compare(
             results = list(pool.map(_compare_instance, jobs, chunksize=8))
     else:
         results = [_compare_instance(job) for job in jobs]
-    means = ResultTable(
-        columns=["n", "kept", "mean_shortest_path", "mean_lp_no_coop", "mean_lp_coop"],
-    )
+    # per n: n, instances kept, and each algorithm's mean lifetime
+    means = []
     for ci, n in enumerate(counts):
         block = [r for r in results[ci * instances : (ci + 1) * instances] if r is not None]
         skipped = instances - len(block)
@@ -304,14 +299,6 @@ def run_compare(
         for (_n, index, sp, lp_plain, lp_coop) in block:
             table.add(n, index, sp, lp_plain, lp_coop)
         if block:
-            means.add(
-                n,
-                len(block),
-                sum(r[2] for r in block) / len(block),
-                sum(r[3] for r in block) / len(block),
-                sum(r[4] for r in block) / len(block),
-            )
-    table.metadata["mean_rows"] = ";".join(
-        ",".join(_fmt(v) for v in row) for row in means.rows
-    )
+            means.append([n, len(block), *(sum(r[c] for r in block) / len(block) for c in (2, 3, 4))])
+    table.metadata["mean_rows"] = ";".join(",".join(_fmt(v) for v in row) for row in means)
     return table

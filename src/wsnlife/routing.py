@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gainmodels import PhyParams
-from .lpsolver import StandardLP, solve_lp
+from .lpsolver import SimplexError, StandardLP, solve_lp
 
 __all__ = [
     "SensorNode",
@@ -161,7 +161,8 @@ def solve_lifetime_lp(
     A cooperative unit of flow consumes one energy unit at the
     transmitter and one at each helper.  Raises ValueError when the
     network has no sink, or when no sensor has a positive rate, where
-    the lifetime is unbounded.
+    the lifetime is unbounded, and SimplexError when the solver does
+    not report an optimum.
     """
     if not any(n.is_sink for n in nodes):
         raise ValueError("network has no sink")
@@ -206,8 +207,10 @@ def solve_lifetime_lp(
         basis = [column[(n.id, tree[n.id])] for n in sensors]
         basis += range(t_col + 1, t_col + 1 + ns)
     sol = solve_lp(lp, basis)
+    # x = 0, T = 0 with every slack at its energy is feasible, and a
+    # positive rate bounds T, so any other status is a solver fault
     if sol.status != "optimal":
-        return FlowSolution(qhat={}, lifetime=0.0, energy_used={}, status=sol.status)
+        raise SimplexError(f"lifetime LP reported {sol.status} (internal bug)")
 
     qhat: dict[tuple[int, int, bool], float] = {}
     energy_used = {n.id: 0.0 for n in nodes}
@@ -222,7 +225,6 @@ def solve_lifetime_lp(
         qhat=qhat,
         lifetime=float(sol.x[t_col]),
         energy_used=energy_used,
-        status="optimal",
     )
 
 

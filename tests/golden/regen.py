@@ -4,7 +4,8 @@
 - disk.json, the SHA-256 of `wsnlife disk`'s stdout for each argv in
   DISK;
 - network.json, the same for `wsnlife simulate` and `wsnlife lp` on the
-  two topologies, each argv in NETWORK.
+  two topologies and for one small `wsnlife compare`, each argv in
+  NETWORK.
 
 Run from anywhere as `python tests/golden/regen.py`; it imports the
 package from the src/ directory next to this tests/ directory, so a
@@ -55,6 +56,9 @@ NETWORK = tuple(
         ("lp", ""),
         ("lp", " --no-coop"),
     )
+) + (
+    # random topologies; its means go into the # mean_rows= line
+    "compare --counts 10 15 --instances 4",
 )
 
 

@@ -6,6 +6,8 @@ import pytest
 from wsnlife.diskanalysis import (
     BypassProfile,
     DiskScenario,
+    _chain,
+    _sweep,
     cluster_size_for_ring,
     njoint_profile,
     npf,
@@ -139,8 +141,9 @@ class TestNjointProfile:
         rings[-1] = b0
         p_r = [rng.random() for _ in rings]
         if mode is None:
+            # random sizes, swept over the scenario's own relay chains
             sizes = [rng.randrange(0, 20) for _ in rings]
-            got = njoint_profile(p_r, sc, cluster_sizes=sizes)
+            got = _sweep(list(p_r), [_chain(b, sc) for b in sc.rings()], sizes)[0]
         else:
             sizes = [math.ceil(max(b / a0, 1.0) ** 4 - 1e-9) for b in rings]
             got = njoint_profile(p_r, sc)
@@ -201,10 +204,10 @@ class TestOptimizeBypass:
         assert profile.max_n_joint() <= profile.kappa * (1.0 + 1e-9)
 
     def test_no_range_gain_means_no_bypass(self):
-        # force trivial clusters: bypassing cannot help, optimizer
-        # falls back to pure forwarding
+        # trivial clusters: bypassing cannot help, optimizer falls back
+        # to pure forwarding (at p_r = 0 the cluster sizes do not count)
         sc = DiskScenario(b0=3.0, a0=1.0)
-        nj = njoint_profile([0.0] * sc.grid, sc, cluster_sizes=[1] * sc.grid)
+        nj = njoint_profile([0.0] * sc.grid, sc)
         profile = optimize_bypass(sc)
         trivial = BypassProfile(
             rings=tuple(sc.rings()),

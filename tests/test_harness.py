@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from wsnlife import cli, harness
+from wsnlife.gainmodels import db_to_linear, dbm_to_watts
 from wsnlife.lpsolver import SimplexError
 from wsnlife.numerics import ConvergenceError
 from wsnlife.routing import build_links, solve_lifetime_lp
@@ -12,13 +13,13 @@ from wsnlife.routing import build_links, solve_lifetime_lp
 
 class TestUnits:
     def test_dbm_conversion(self):
-        assert harness.dbm_to_watts(10.0) == pytest.approx(0.01, rel=1e-12)
-        assert harness.dbm_to_watts(-70.0) == pytest.approx(1e-10, rel=1e-12)
-        assert harness.dbm_to_watts(0.0) == pytest.approx(1e-3, rel=1e-12)
+        assert dbm_to_watts(10.0) == pytest.approx(0.01, rel=1e-12)
+        assert dbm_to_watts(-70.0) == pytest.approx(1e-10, rel=1e-12)
+        assert dbm_to_watts(0.0) == pytest.approx(1e-3, rel=1e-12)
 
     def test_db_conversion(self):
-        assert harness.db_to_linear(10.0) == pytest.approx(10.0, rel=1e-12)
-        assert harness.db_to_linear(0.0) == 1.0
+        assert db_to_linear(10.0) == pytest.approx(10.0, rel=1e-12)
+        assert db_to_linear(0.0) == 1.0
 
     def test_default_phy_hop_range(self):
         # (P / (noise * snr)) ** (1/4) = (1e7) ** 0.25

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from wsnlife import routing
 from wsnlife.harness import generate_topology
-from wsnlife.lpsolver import StandardLP, solve_lp
+from wsnlife.lpsolver import LPSolution, SimplexError, StandardLP, solve_lp
 from wsnlife.routing import (
     CostParams,
     LinkSet,
@@ -327,6 +327,17 @@ class TestLifetimeLp:
             shortest_path_lifetime(nodes, links)
         with pytest.raises(ValueError):
             simulate_dynamic(nodes, links)
+
+    @pytest.mark.parametrize("status", ["infeasible", "unbounded"])
+    def test_non_optimal_status_raises(self, phy, snapshot_nodes, monkeypatch, status):
+        # the lifetime LP is always feasible and bounded, so a solver
+        # that says otherwise is at fault: no lifetime comes back
+        monkeypatch.setattr(
+            routing, "solve_lp",
+            lambda lp, basis=None: LPSolution(np.zeros(lp.shape[1]), math.nan, status),
+        )
+        with pytest.raises(SimplexError, match=status):
+            solve_lifetime_lp(snapshot_nodes, build_links(snapshot_nodes, phy))
 
     def test_energy_scaling(self, phy, snapshot_nodes):
         links = build_links(snapshot_nodes, phy)
