@@ -106,9 +106,9 @@ def save_topology(nodes: list[SensorNode], path: str) -> None:
 
 def load_topology(path: str) -> list[SensorNode]:
     """Read a topology file.  A malformed one (no node list, a node
-    without id/x/y, a non-numeric or non-finite value, a duplicate id,
-    no sink, no sensor with a positive rate) raises a one-line
-    ValueError."""
+    without id/x/y, an id that is not a JSON integer, a position,
+    energy or rate that is not a finite JSON number, a duplicate id, no
+    sink, no sensor with a positive rate) raises a one-line ValueError."""
     with open(path) as fh:
         data = json.load(fh)
     entries = data.get("nodes") if isinstance(data, dict) else None
@@ -121,17 +121,15 @@ def load_topology(path: str) -> list[SensorNode]:
         missing = [key for key in ("id", "x", "y") if key not in entry]
         if missing:
             raise ValueError(f"{path}: node {k} lacks {', '.join(missing)}")
+        values = {key: entry.get(key, 1.0) for key in ("id", "x", "y", "energy", "rate")}
+        for key, v in values.items():  # bool is an int subclass, but true is no JSON number
+            if isinstance(v, bool) or not isinstance(v, int if key == "id" else (int, float)):
+                kind = "an integer" if key == "id" else "a number"
+                raise ValueError(f"{path}: node {k}: {key} must be {kind}, got {json.dumps(v)}")
         try:
-            node = SensorNode(
-                id=int(entry["id"]),
-                x=float(entry["x"]),
-                y=float(entry["y"]),
-                energy=float(entry.get("energy", 1.0)),
-                rate=float(entry.get("rate", 1.0)),
-            )
-        except (TypeError, ValueError) as exc:
+            nodes.append(SensorNode(**{key: v if key == "id" else float(v) for key, v in values.items()}))
+        except (OverflowError, ValueError) as exc:
             raise ValueError(f"{path}: node {k}: {exc}") from None
-        nodes.append(node)
     ids = [n.id for n in nodes]
     if len(set(ids)) < len(ids):
         duplicates = sorted({i for i in ids if ids.count(i) > 1})

@@ -1,15 +1,16 @@
 """Two-phase revised simplex for sparse equality-form LPs.
 
-Solves max c.x subject to A x = b, x >= 0.  Phase 1 starts from an
-all-artificial basis; a caller that already knows a feasible basis
-(one column per row, nonsingular, B^-1 b >= 0) passes it and the solve
-starts in phase 2.  The basis inverse is kept
-explicitly (dense, one rank-1 update per pivot); A is read only through
-its nonzeros, so a pivot costs one sparse pricing product plus O(m^2).
-Dantzig pricing with a permanent switch to Bland's rule once a
-degeneracy streak is detected, so termination is guaranteed and pivots
-are deterministic.  An optimal basis that does not solve the original
-system to 1e-9 (relative to the largest |b|) raises SimplexError.
+Solves max c.x subject to A x = b, x >= 0 from one starting basis:
+all artificial unit columns, or any feasible mix of structural and
+artificial columns (one per row, nonsingular, B^-1 b >= 0) that the
+caller passes.  Phase 1 runs only while an artificial is basic.  The
+basis inverse is kept explicitly (dense, one rank-1 update per pivot);
+A is read only through its nonzeros, so a pivot costs one sparse
+pricing product plus O(m^2).  Dantzig pricing with a permanent switch
+to Bland's rule once a degeneracy streak is detected, so termination
+is guaranteed and pivots are deterministic.  An optimal basis that
+does not solve the original system to 1e-9 (relative to the largest
+|b|) raises SimplexError.
 """
 
 from __future__ import annotations
@@ -133,11 +134,14 @@ class _Columns:
         return (binv[:, self.rows[s:e]] * self.vals[s:e]).sum(axis=1)
 
     def basis_matrix(self, basis: np.ndarray, m: int) -> np.ndarray:
-        """B: the m x m matrix of the structural columns listed in basis."""
+        """B: the m x m matrix of the columns listed in basis."""
         bmat = np.zeros((m, len(basis)))
         for k, j in enumerate(basis.tolist()):
-            s, e = self.starts[j], self.starts[j + 1]
-            bmat[self.rows[s:e], k] = self.vals[s:e]
+            if j >= self.n:
+                bmat[j - self.n, k] = 1.0
+            else:
+                s, e = self.starts[j], self.starts[j + 1]
+                bmat[self.rows[s:e], k] = self.vals[s:e]
         return bmat
 
 
@@ -188,16 +192,17 @@ def _iterate(a: _Columns, cost, binv, x_b, basis, max_iters):
 
 
 def _factor(a: _Columns, basis, b):
-    """B, B^-1 and x_B = B^-1 b for a basis of structural columns."""
+    """B, B^-1 and x_B = B^-1 b for a basis of column ids."""
     bmat = a.basis_matrix(basis, len(b))
     binv = np.linalg.inv(bmat)
     return bmat, binv, binv @ b
 
 
 def solve_lp(lp: StandardLP, basis=None) -> LPSolution:
-    """Optimize lp, from the given feasible basis (column ids, one per
-    row) if there is one, else from phase 1.  A given basis that is
-    malformed, singular or infeasible raises ValueError."""
+    """Optimize lp from a basis of m column ids, one per row, in which
+    id n + k is row k's artificial unit column; the default is every
+    artificial.  A malformed, singular or infeasible basis raises
+    ValueError.  Phase 1 maximizes -(sum of artificials) from there."""
     m, n = lp.shape
     rows, cols, vals = lp.rows, lp.cols, lp.vals
     if (lp.b < 0).any():  # negate the rows whose right-hand side is negative
@@ -206,24 +211,21 @@ def solve_lp(lp: StandardLP, basis=None) -> LPSolution:
     max_iters = max(200, 50 * (m + n))
     a = _Columns(rows, cols, vals, n)
 
-    if basis is not None:
-        basis = np.array(basis, dtype=np.intp)
-        if basis.shape != (m,) or not ((basis >= 0) & (basis < n)).all():
-            raise ValueError(f"starting basis must list {m} column ids in [0, {n})")
-        try:
-            bmat, binv, x_b = _factor(a, basis, b)
-        except np.linalg.LinAlgError:
-            raise ValueError("starting basis is singular") from None
-        # 1-norm condition number of B from B^-1, which is already at hand
-        cond = np.abs(bmat).sum(axis=0).max() * np.abs(binv).sum(axis=0).max()
-        if not cond < 1e12:
-            raise ValueError(f"starting basis is singular (condition number {cond:.3g})")
-        if x_b.min(initial=0.0) < -1e-9 * (1.0 + b.max(initial=0.0)):
-            raise ValueError("starting basis is infeasible: B^-1 b has a negative entry")
-        pivots1, bland1 = 0, False
-    else:
-        # Phase 1: artificial basis, maximize -(sum of artificials).
-        binv, x_b, basis = np.eye(m), b.copy(), np.arange(n, n + m)
+    basis = np.arange(n, n + m) if basis is None else np.array(basis, dtype=np.intp)
+    if basis.shape != (m,) or not ((basis >= 0) & (basis < n + m)).all():
+        raise ValueError(f"starting basis must list {m} column ids in [0, {n + m})")
+    try:
+        bmat, binv, x_b = _factor(a, basis, b)
+    except np.linalg.LinAlgError:
+        raise ValueError("starting basis is singular") from None
+    # 1-norm condition number of B from B^-1, which is already at hand
+    cond = np.abs(bmat).sum(axis=0).max() * np.abs(binv).sum(axis=0).max()
+    if not cond < 1e12:
+        raise ValueError(f"starting basis is singular (condition number {cond:.3g})")
+    if x_b.min(initial=0.0) < -1e-9 * (1.0 + b.max(initial=0.0)):
+        raise ValueError("starting basis is infeasible: B^-1 b has a negative entry")
+    pivots1, bland1 = 0, False
+    if (basis >= n).any():
         cost = np.concatenate([np.zeros(n), -np.ones(m)])
         status, pivots1, bland1 = _iterate(a, cost, binv, x_b, basis, max_iters)
         if status != "optimal":

@@ -116,6 +116,8 @@ def build_links(nodes: list[SensorNode], phy: PhyParams) -> LinkSet:
         raise ValueError("need at least two nodes")
     order = sorted(nodes, key=lambda n: n.id)
     ids = [n.id for n in order]
+    if repeated := [i for i, j in zip(ids, ids[1:]) if i == j]:
+        raise ValueError(f"node id {repeated[0]} is used by more than one node")
     x, y = np.array([(n.x, n.y) for n in order], dtype=float).T
     dx, dy = x[:, None] - x, y[:, None] - y
     # Correctly rounded where the squares sum exactly (integer
@@ -197,16 +199,13 @@ def solve_lifetime_lp(
     c = np.zeros(t_col + 1 + ns)
     c[t_col] = 1.0
     lp = StandardLP.from_triplets(key % (2 * ns), key // (2 * ns), vals, (2 * ns, len(c)), b, c)
-    # Crash basis: each sensor's min-hop tree edge plus every energy
-    # slack.  Tree edges are triangular in hop order on the conservation
-    # rows, so B is nonsingular, and x_B = (0, E) is feasible.
+    # Crash basis: each sensor's min-hop tree edge, or its conservation
+    # row's artificial (id len(c) + row) where it has none, and every
+    # energy slack.  B is triangular in hop order, and x_B = (0, E) >= 0.
     tree = _min_hop_tree({n.id for n in nodes if n.is_sink}, links)
-    basis = None
-    if all(n.id in tree for n in sensors):
-        column = {(i, j): k for k, (i, j, _h) in enumerate(flows[:n_direct])}
-        basis = [column[(n.id, tree[n.id])] for n in sensors]
-        basis += range(t_col + 1, t_col + 1 + ns)
-    sol = solve_lp(lp, basis)
+    column = {(i, j): k for k, (i, j, _h) in enumerate(flows[:n_direct])}
+    basis = [column[(n.id, tree[n.id])] if n.id in tree else len(c) + r for r, n in enumerate(sensors)]
+    sol = solve_lp(lp, basis + list(range(t_col + 1, t_col + 1 + ns)))
     # x = 0, T = 0 with every slack at its energy is feasible, and a
     # positive rate bounds T, so any other status is a solver fault
     if sol.status != "optimal":

@@ -3,8 +3,10 @@
 - topo12.json and topo14.json, the two smoke topologies;
 - disk.json, the SHA-256 of `wsnlife disk`'s stdout for each argv in
   DISK;
+- topo12c.json, a topology where four sensors reach the sink only
+  through cooperative links;
 - network.json, the same for `wsnlife simulate` and `wsnlife lp` on the
-  two topologies and for one small `wsnlife compare`, each argv in
+  three topologies and for one small `wsnlife compare`, each argv in
   NETWORK.
 
 Run from anywhere as `python tests/golden/regen.py`; it imports the
@@ -57,6 +59,10 @@ NETWORK = tuple(
         ("lp", " --no-coop"),
     )
 ) + (
+    # sensors 2, 5, 6 and 10 have no direct route to the sink
+    "simulate --topology topo12c.json",
+    "lp --topology topo12c.json",
+    "lp --topology topo12c.json --no-coop",
     # random topologies; its means go into the # mean_rows= line
     "compare --counts 10 15 --instances 4",
 )
@@ -65,7 +71,9 @@ NETWORK = tuple(
 def topologies() -> dict[str, list]:
     """The CI smoke topologies, with every battery at 40 units so a
     simulation routes hundreds of packets at unequal costs.  topo14 has
-    unsorted, non-contiguous ids and a second sink."""
+    unsorted, non-contiguous ids and a second sink; in topo12c four
+    sensors have no direct route to the sink, and all of them reach it
+    once cooperative links count."""
     from wsnlife.harness import generate_topology
 
     small = [replace(n, energy=40.0) for n in generate_topology(12, 80.0, 4)]
@@ -73,7 +81,8 @@ def topologies() -> dict[str, list]:
         replace(n, id=7 * n.id + 3, energy=40.0, rate=-1.0 if n.id == 13 else n.rate)
         for n in reversed(generate_topology(14, 80.0, 5))
     ]
-    return {"topo12.json": small, "topo14.json": mixed}
+    coop = [replace(n, energy=40.0) for n in generate_topology(12, 110.0, 13)]
+    return {"topo12.json": small, "topo14.json": mixed, "topo12c.json": coop}
 
 
 def stdout_sha256(argv: list[str]) -> str:

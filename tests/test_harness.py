@@ -1,4 +1,5 @@
 import json
+import math
 import shlex
 from pathlib import Path
 
@@ -52,13 +53,25 @@ class TestTopology:
             ([{"id": 0, "x": 0, "y": 0, "rate": -1}, {"id": 0, "x": 1, "y": 0}], "duplicate node ids"),
             ([{"id": 0, "x": 0, "y": 0, "rate": -1}, {"id": 1, "x": 1}], "node 1 lacks y"),
             ([{"x": 0, "y": 0, "rate": -1}], "node 0 lacks id"),
-            ([{"id": 0, "x": 0, "y": 0, "rate": -1}, {"id": 1, "x": "NaN", "y": 0}], "non-finite"),
+            ([{"id": 0, "x": 0, "y": 0, "rate": -1}, {"id": 1, "x": math.nan, "y": 0}], "non-finite"),
             ([{"id": 0, "x": 0, "y": 0, "rate": -1}, {"id": 1, "x": 1e999, "y": 0}], "non-finite"),
             ([{"id": 0, "x": 0, "y": None, "rate": -1}], "node 0"),
             ([{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 1, "y": 0}], "no sink"),
             ([5], "node 0 is not an object"),
             ([{"id": 0, "x": 0, "y": 0, "rate": -1}, {"id": 1, "x": 1, "y": 0, "rate": 0}],
              "no sensor with a positive rate"),
+            ([{"id": 0, "x": 0, "y": 0, "rate": -1}, {"id": 1.7, "x": 1, "y": 0}],
+             "node 1: id must be an integer, got 1.7"),
+            ([{"id": 0, "x": 0, "y": 0, "rate": -1}, {"id": "2", "x": 1, "y": 0}],
+             'node 1: id must be an integer, got "2"'),
+            ([{"id": True, "x": 0, "y": 0, "rate": -1}], "node 0: id must be an integer, got true"),
+            ([{"id": 0, "x": "0", "y": 0, "rate": -1}], 'node 0: x must be a number, got "0"'),
+            ([{"id": 0, "x": 0, "y": False, "rate": -1}], "node 0: y must be a number, got false"),
+            ([{"id": 0, "x": 0, "y": 0, "rate": -1}, {"id": 1, "x": 1, "y": 0, "energy": True}],
+             "node 1: energy must be a number, got true"),
+            ([{"id": 0, "x": 0, "y": 0, "rate": "-1"}], 'node 0: rate must be a number, got "-1"'),
+            ([{"id": 0, "x": 0, "y": 0, "rate": -1}, {"id": 1, "x": 10**400, "y": 0}],
+             "node 1: int too large to convert to float"),
         ],
     )
     def test_malformed_file_rejected(self, tmp_path, capsys, nodes, message):

@@ -3,12 +3,13 @@ earlier dense-tableau simplex could not solve."""
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from wsnlife.harness import generate_topology
-from wsnlife.routing import build_links, solve_lifetime_lp
+from wsnlife.routing import NoRouteError, build_links, shortest_path_lifetime, solve_lifetime_lp
 
 
 def highs_lifetime(nodes, links, with_coop):
@@ -66,6 +67,41 @@ def test_matches_highs_on_random_topologies(phy, seed):
         reference = highs_lifetime(nodes, links, with_coop)
         assert sol.lifetime == pytest.approx(reference, rel=1e-9, abs=1e-12)
         assert_feasible_flows(nodes, links, sol)
+
+
+# generate_topology(30, 160.0, seed): in each, some sensors have no
+# direct route to the sink, so the crash basis starts their
+# conservation rows on artificials.  Without coop links those sensors
+# have no route at all and the optimum is 0.
+@pytest.mark.parametrize("seed", [14, 30, 35, 49])
+def test_matches_highs_off_the_direct_tree(phy, seed):
+    nodes = generate_topology(30, 160.0, seed)
+    links = build_links(nodes, phy)
+    with pytest.raises(NoRouteError):
+        shortest_path_lifetime(nodes, links)
+    for with_coop in (False, True):
+        sol = solve_lifetime_lp(nodes, links, with_coop=with_coop)
+        reference = highs_lifetime(nodes, links, with_coop)
+        assert sol.lifetime == pytest.approx(reference, rel=1e-9, abs=1e-12)
+        assert_feasible_flows(nodes, links, sol)
+
+
+# The solve starts with no flow and T = 0, and a pivot that moves x
+# raises T, so an optimum of 0 leaves every flow at 0.  The first is
+# tests/golden/topo12c.json; in the other two a sensor has no route even
+# with coop links, and the last takes a degenerate phase-2 pivot.
+@pytest.mark.parametrize(
+    "n, field, seed, energy, with_coop",
+    [(12, 110.0, 13, 40.0, False), (30, 160.0, 60, 1.0, True), (30, 160.0, 102, 1.0, True)],
+)
+def test_zero_optimum_moves_no_flow(phy, n, field, seed, energy, with_coop):
+    nodes = [replace(v, energy=energy) for v in generate_topology(n, field, seed)]
+    links = build_links(nodes, phy)
+    sol = solve_lifetime_lp(nodes, links, with_coop=with_coop)
+    assert highs_lifetime(nodes, links, with_coop) == pytest.approx(0.0, abs=1e-12)
+    assert sol.lifetime == 0.0
+    assert sol.qhat == {}
+    assert sol.energy_used == {v.id: 0.0 for v in nodes}
 
 
 # n = 150 on a 223.6 m field: the topologies that the benchmark's

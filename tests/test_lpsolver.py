@@ -186,6 +186,13 @@ class TestStartingBasis:
             assert sol.status == "optimal" and sol.phase1_pivots == 0, trial
             assert sol.objective == pytest.approx(enumerate_vertices(lp), abs=1e-7), trial
 
+    def test_mixed_basis_runs_phase1(self):
+        # column 0 covers row 0 and row 1 starts on its artificial, id 3 + 1
+        lp = StandardLP(a=[[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]], b=[1.0, 2.0], c=[1.0, 0.0, 0.0])
+        sol = solve_lp(lp, [0, 4])
+        assert sol.status == "optimal" and sol.phase1_pivots > 0
+        assert sol.x.tolist() == [1.0, 0.0, 2.0]
+
     def test_unbounded_from_basis(self):
         sol = solve_lp(StandardLP(a=[[1.0, -1.0]], b=[0.0], c=[1.0, 0.0]), basis=[0])
         assert (sol.status, sol.phase1_pivots) == ("unbounded", 0)
@@ -198,8 +205,12 @@ class TestStartingBasis:
             ([[1.0, -1.0]], [5.0], [1], "infeasible"),
             ([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]], [1.0, 2.0], [0, 1], "infeasible"),
             ([[1.0, 1.0]], [5.0], [0, 1], "column ids"),
-            ([[1.0, 1.0]], [5.0], [2], "column ids"),
+            ([[1.0, 1.0]], [5.0], [3], "column ids"),  # n + m: past the artificials
             ([[1.0, 1.0]], [5.0], [-1], "column ids"),
+            # id 3 is row 0's artificial e_0, which column 0 repeats
+            ([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [1.0, 2.0], [0, 3], "singular"),
+            # column 0 takes x_0 = 2 from row 0, so row 1's artificial is 1 - 2
+            ([[1.0, 1.0], [1.0, 0.0]], [2.0, 1.0], [0, 3], "infeasible"),
         ],
     )
     def test_bad_basis_raises(self, a, b, basis, message):

@@ -61,6 +61,16 @@ class TestBuildLinks:
         with pytest.raises(ValueError, match="^nodes 2 and 9 share a position$"):
             build_links(nodes, phy)
 
+    @pytest.mark.parametrize("x3", [60.0, 30.0])  # the repeat apart, or on one spot
+    def test_duplicate_ids_rejected(self, phy, x3):
+        # Unchecked, id 1 would link to itself and help its own coop
+        # link to the sink.
+        nodes = [SensorNode(0, 0.0, 0.0, rate=-2.0), SensorNode(1, 30.0, 0.0), SensorNode(1, x3, 0.0)]
+        with pytest.raises(ValueError, match="^node id 1 is used by more than one node$"):
+            build_links(nodes, phy)
+        with pytest.raises(ValueError, match="^node id 4 is used"):
+            build_links([SensorNode(4, 0.0, 0.0, rate=-1.0), SensorNode(9, 5.0, 0.0), SensorNode(4, 9.0, 0.0)], phy)
+
     def test_snapshot_adjacency(self, phy, snapshot_nodes):
         links = build_links(snapshot_nodes, phy)
         for pair in [(3, 2), (5, 2), (6, 2), (4, 5), (4, 6), (2, 1)]:
@@ -423,6 +433,18 @@ def reference_min_hop_next(nodes, links):
     }
 
 
+def assert_artificials_off_the_tree(lp, basis, nodes, links):
+    """The crash basis holds a conservation row's artificial (id n +
+    row) on exactly the rows of the sensors with no min-hop tree edge,
+    and a structural column everywhere else."""
+    n = lp.shape[1]
+    off_tree = [r for r, v in enumerate(v for v in nodes if not v.is_sink)
+                if v.id not in reference_min_hop_next(nodes, links)]
+    assert off_tree, "the network has a tree edge at every sensor"
+    assert [k for k, j in enumerate(basis) if j >= n] == off_tree
+    assert [basis[r] - n for r in off_tree] == off_tree
+
+
 def assert_solves_alike(lp, twin, basis=None):
     """Two StandardLPs of one A solve to the same bits and counters."""
     one, two = solve_lp(lp, basis), solve_lp(twin, basis)
@@ -452,18 +474,23 @@ class TestSparseAssembly:
         assert_solves_alike(lp, twin)
 
     def test_phase1_topology_solves_alike(self, phy, monkeypatch):
-        # test_coop_only_sensor_takes_phase1's network: no crash basis
+        # test_coop_only_sensor_takes_phase1's network: artificials in
+        # the crash basis
         a0 = phy.hop_range()
         nodes = [
             SensorNode(id=1, x=0.0, y=0.0, rate=-2.0),
             SensorNode(id=2, x=1.05 * a0, y=0.0),
             SensorNode(id=3, x=1.3 * a0, y=0.0),
         ]
+        links = build_links(nodes, phy)
         calls = capture_lps(monkeypatch)
-        solve_lifetime_lp(nodes, build_links(nodes, phy), with_coop=True)
+        solve_lifetime_lp(nodes, links, with_coop=True)
         ((lp, basis, sol),) = calls
-        assert basis is None and sol.phase1_pivots > 0
-        assert_solves_alike(lp, StandardLP(a=lp.a, b=lp.b, c=lp.c))
+        assert_artificials_off_the_tree(lp, basis, nodes, links)
+        assert sol.phase1_pivots > 0
+        twin = StandardLP(a=lp.a, b=lp.b, c=lp.c)
+        assert_solves_alike(lp, twin, basis)
+        assert_solves_alike(lp, twin)
 
     @pytest.mark.parametrize("with_coop", [False, True])
     def test_no_dense_matrix_on_the_solve_path(self, phy, monkeypatch, with_coop):
@@ -492,7 +519,7 @@ class TestCrashBasis:
         calls = capture_lps(monkeypatch)
         lifetime = solve_lifetime_lp(nodes, links, with_coop=with_coop).lifetime
         ((lp, basis, sol),) = calls
-        assert basis is not None and sol.phase1_pivots == 0
+        assert max(basis) < lp.shape[1] and sol.phase1_pivots == 0  # no artificial
         cold = solve_lp(lp)
         assert cold.phase1_pivots > 0
         assert lifetime == pytest.approx(cold.objective, rel=1e-12)
@@ -522,13 +549,16 @@ class TestCrashBasis:
         assert links.coop == {(2, 1): (3,), (3, 1): (2,)}
         calls = capture_lps(monkeypatch)
         sol = solve_lifetime_lp(nodes, links, with_coop=True)
-        ((_lp, basis, lp_sol),) = calls
-        assert basis is None and lp_sol.phase1_pivots > 0
+        ((lp, basis, lp_sol),) = calls
+        assert_artificials_off_the_tree(lp, basis, nodes, links)
+        assert lp_sol.phase1_pivots > 0
         assert sol.lifetime == pytest.approx(0.5, rel=1e-12)
 
     def test_unreachable_sensor_takes_phase1(self, phy, monkeypatch):
         # Sensor 3 has no route but no traffic either, so sensor 2's
-        # single hop sets the lifetime.
+        # single hop sets the lifetime.  Sensor 3's conservation row is
+        # empty, so phase 1 finds no pivot for its artificial and drops
+        # the row.
         a0 = phy.hop_range()
         nodes = [
             SensorNode(id=1, x=0.0, y=0.0, rate=-1.0),
@@ -538,8 +568,9 @@ class TestCrashBasis:
         links = build_links(nodes, phy)
         calls = capture_lps(monkeypatch)
         sol = solve_lifetime_lp(nodes, links)
-        ((_lp, basis, lp_sol),) = calls
-        assert basis is None and lp_sol.phase1_pivots > 0
+        ((lp, basis, lp_sol),) = calls
+        assert_artificials_off_the_tree(lp, basis, nodes, links)
+        assert (lp_sol.phase1_pivots, lp_sol.phase2_pivots) == (0, 1)
         assert sol.lifetime == pytest.approx(1.0, rel=1e-12)
 
 
