@@ -4,9 +4,14 @@ Solves max c.x subject to A x = b, x >= 0 from one starting basis:
 all artificial unit columns, or any feasible mix of structural and
 artificial columns (one per row, nonsingular, B^-1 b >= 0) that the
 caller passes.  Phase 1 runs only while an artificial is basic.  The
-basis inverse is kept explicitly (dense, one rank-1 update per pivot);
-A is read only through its nonzeros, so a pivot costs one sparse
-pricing product plus O(m^2).  Dantzig pricing with a permanent switch
+basis inverse is kept explicitly (dense, one rank-1 update per pivot,
+in place through one scratch array per phase); A is read only through
+its nonzeros, pricing from a table of each column's first four
+entries, and the ratio test scans only the rows whose ratio lies near
+the least one.  So a pivot costs O(n + nnz(A) + m^2) in a set number
+of numpy calls plus a Python loop over the near rows, and the pivots
+and bits are those of a scan over every row with np.bincount pricing.
+Dantzig pricing with a permanent switch
 to Bland's rule once a degeneracy streak is detected, so termination
 is guaranteed and pivots are deterministic.  An optimal basis that
 does not solve the original system to 1e-9 (relative to the largest
@@ -15,6 +20,7 @@ does not solve the original system to 1e-9 (relative to the largest
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,15 +122,40 @@ class _Columns:
     """A's nonzeros as (row, col, value) triplets sorted by column.
     Column ids >= n are artificial unit columns e_(id - n).  Products
     are elementwise sums, not BLAS calls, so results do not depend on
-    the BLAS thread count."""
+    the BLAS thread count.  For pricing, head_rows and head_vals hold
+    entry k of every column at [k], k < 4, padded with row 0 and value
+    0.0; long lists the columns with more entries (the lifetime LP's
+    T), long_rows and long_vals hold all their entries in order, and
+    long_at each entry's place in long."""
 
     def __init__(self, rows, cols, vals, n):
-        self.rows, self.cols, self.vals, self.n = rows, cols, vals, n
+        self.rows, self.vals, self.n = rows, vals, n
         self.starts = np.searchsorted(cols, np.arange(n + 1))
+        count = np.diff(self.starts)
+        rank = np.arange(len(cols)) - self.starts[cols]  # entry's place in its column
+        head = rank < 4
+        self.head_rows = np.zeros((4, n), dtype=np.intp)
+        self.head_vals = np.zeros((4, n))
+        self.head_rows[rank[head], cols[head]] = rows[head]
+        self.head_vals[rank[head], cols[head]] = vals[head]
+        self.long = np.flatnonzero(count > 4)
+        in_long = count[cols] > 4
+        self.long_rows, self.long_vals = rows[in_long], vals[in_long]
+        self.long_at = np.repeat(np.arange(len(self.long)), count[self.long])
 
     def price(self, y: np.ndarray) -> np.ndarray:
-        """y A over the structural columns, then y itself for the artificials."""
-        return np.concatenate([np.bincount(self.cols, y[self.rows] * self.vals, self.n), y])
+        """y A over the structural columns.  Each column adds its terms
+        in entry order, as one np.bincount over all of A does: the
+        table's rows one after another, or np.bincount over the long
+        columns alone.  So the values are equal; only a zero sum may
+        differ in sign, which no comparison sees."""
+        w = y.take(self.head_rows)
+        w *= self.head_vals
+        z = w[0] + w[1]
+        z += w[2]
+        z += w[3]
+        z[self.long] = np.bincount(self.long_at, y[self.long_rows] * self.long_vals, len(self.long))
+        return z
 
     def column(self, binv: np.ndarray, j: int) -> np.ndarray:
         """B^-1 times column j."""
@@ -147,47 +178,82 @@ class _Columns:
 
 def _leaving_row(alpha: np.ndarray, x_b: np.ndarray, basis: np.ndarray) -> int:
     """Minimum ratio over rows with alpha > tol; ties within 1e-12 go to
-    the lowest basic id."""
+    the lowest basic id.  One scan in row order keeps a best row and
+    replaces it with a row whose ratio is lower by more than 1e-12, or
+    within 1e-12 of it with a lower basic id.
+
+    The scan reads only the near rows: with r the least of the k ratios
+    and s = 1e-12 plus one ulp at 2|r| + 1, a step that covers the
+    rounding of each comparison in the band, a near row's ratio is at
+    most r + (k + 2) s.  The rows beyond cannot change the chosen row:
+
+    - A scanned row leaves the best at most s above its ratio, taken or
+      not, and each replacement raises the best by at most s.  Once the
+      least row is scanned the best stays at most r + k s, so no row
+      above r + (k + 1) s is taken after it.
+      Dropping a far row scanned after the least row changes nothing.
+    - Drop a far row F that the scan takes before the least row.  The
+      scan with F holds F, the one without it holds a best at least
+      F - s.  Until the two take the same row, a row that one takes and
+      the other does not lies at most s below the lesser best, so both
+      bests stay above r + 3 s until the least row, which both then
+      take, and from there the scans agree.  Rounding is monotone, so
+      bests above the band, where an ulp may exceed s, only stay higher.
+
+    Dropping the far rows one at a time thus keeps the chosen row."""
     rows = (alpha > _PIVOT_TOL).nonzero()[0]
+    if not rows.size:
+        return -1
+    ratios = x_b[rows] / alpha[rows]
+    low = float(np.fmin.reduce(ratios))  # NaN ratios are never taken
+    near = ratios <= low + (len(rows) + 2) * (1e-12 + math.ulp(2 * abs(low) + 1.0))
+    rows, ratios = rows[near], ratios[near]
     best_row, best_ratio, best_id = -1, np.inf, -1
-    for i, ratio, j in zip(rows.tolist(), (x_b[rows] / alpha[rows]).tolist(), basis[rows].tolist()):
+    for i, ratio, j in zip(rows.tolist(), ratios.tolist(), basis[rows].tolist()):
         if ratio < best_ratio - 1e-12 or (abs(ratio - best_ratio) <= 1e-12 and j < best_id):
             best_row, best_ratio, best_id = i, ratio, j
     return best_row
 
 
-def _exchange(binv, x_b, basis, alpha, row, col) -> None:
-    """Rank-1 update of B^-1 and x_B for column col entering at row."""
+def _exchange(binv, x_b, basis, alpha, scratch, row, col) -> float:
+    """Rank-1 update of B^-1 and x_B for column col entering at row,
+    through scratch, an array shaped like B^-1; returns the step x_B[row]
+    / alpha[row]."""
     pivot_row = binv[row] / alpha[row]
     theta = x_b[row] / alpha[row]
-    binv -= np.outer(alpha, pivot_row)
+    binv -= np.einsum("i,j->ij", alpha, pivot_row, out=scratch)
     binv[row] = pivot_row
     x_b -= theta * alpha
     x_b[row] = theta
     basis[row] = col
+    return theta
 
 
 def _iterate(a: _Columns, cost, binv, x_b, basis, max_iters):
     """Pivot until optimal or unbounded over the len(cost) priceable
-    columns; returns (status, pivots, bland)."""
+    columns, the artificials after the n structural ones if len(cost)
+    > n; returns (status, pivots, bland)."""
     streak_limit = 2 * (len(basis) + len(cost))
     bland, degenerate_streak = False, 0
+    scratch = np.empty_like(binv)
     for pivots in range(max_iters):
         c_b = cost[basis]
         priced = c_b.nonzero()[0]  # y = c_B B^-1 over the rows with a cost
-        d = cost - a.price((c_b[priced, None] * binv[priced]).sum(axis=0))[: len(cost)]
-        improving = (d > _PIVOT_TOL).nonzero()[0]
-        if not improving.size:
-            return "optimal", pivots, bland
+        y = (c_b[priced, None] * binv[priced]).sum(axis=0)
+        d = cost - (a.price(y) if len(cost) == a.n else np.concatenate([a.price(y), y]))
         # Bland: first improving column; Dantzig: largest d, first on ties.
-        col = int(improving[0] if bland else improving[np.argmax(d[improving])])
+        col = int(np.argmax(d > _PIVOT_TOL) if bland else np.argmax(d))
+        if not d[col] > _PIVOT_TOL:
+            if not np.isfinite(d).all():  # argmax stops at the first NaN
+                raise SimplexError("reduced costs are not finite")
+            return "optimal", pivots, bland
         alpha = a.column(binv, col)
         row = _leaving_row(alpha, x_b, basis)
         if row < 0:
             return "unbounded", pivots, bland
-        degenerate_streak = degenerate_streak + 1 if x_b[row] / alpha[row] <= 1e-12 else 0
+        theta = _exchange(binv, x_b, basis, alpha, scratch, row, col)
+        degenerate_streak = degenerate_streak + 1 if theta <= 1e-12 else 0
         bland = bland or degenerate_streak > streak_limit
-        _exchange(binv, x_b, basis, alpha, row, col)
     raise SimplexError(f"simplex did not terminate within {max_iters} pivots")
 
 
@@ -236,11 +302,11 @@ def solve_lp(lp: StandardLP, basis=None) -> LPSolution:
         # Drive remaining artificials out of the basis or drop their rows.
         # An artificial e_k left basic at position i makes row i of B^-1 A a
         # dependency with weight 1 on constraint k, so constraint k goes.
-        keep = np.ones(m, dtype=bool)
+        keep, scratch = np.ones(m, dtype=bool), np.empty_like(binv)
         for i in np.flatnonzero(basis >= n).tolist():
-            big = np.flatnonzero(np.abs(a.price(binv[i])[:n]) > _PIVOT_TOL)
+            big = np.flatnonzero(np.abs(a.price(binv[i])) > _PIVOT_TOL)
             if big.size:
-                _exchange(binv, x_b, basis, a.column(binv, int(big[0])), i, int(big[0]))
+                _exchange(binv, x_b, basis, a.column(binv, int(big[0])), scratch, i, int(big[0]))
                 pivots1 += 1
             else:
                 keep[basis[i] - n] = False
@@ -258,9 +324,10 @@ def solve_lp(lp: StandardLP, basis=None) -> LPSolution:
     x[basis] = x_b
     x[np.abs(x) < 1e-12] = 0.0
     # B^-1 is updated in place through both phases, so rounding can
-    # leave a basis that no longer solves the original system.
+    # leave a basis that no longer solves the original system.  A NaN
+    # violation fails the test too.
     residual = np.bincount(lp.rows, lp.vals * x[lp.cols], m) - lp.b
     violation = max(np.abs(residual).max(initial=0.0), -x.min(initial=0.0))
-    if violation > 1e-9 * (1.0 + np.abs(lp.b).max(initial=0.0)):
+    if not violation <= 1e-9 * (1.0 + np.abs(lp.b).max(initial=0.0)):
         raise SimplexError(f"final basis violates A x = b, x >= 0 by {violation:.3g}")
     return LPSolution(x=x, objective=float(lp.c @ x), status="optimal", **counters)

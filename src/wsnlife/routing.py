@@ -106,6 +106,13 @@ class CostParams:
             raise ValueError("cost exponents must be positive")
 
 
+def _check_ids(nodes: list[SensorNode]) -> None:
+    """Raise ValueError if two nodes share an id."""
+    ids = sorted(n.id for n in nodes)
+    if repeated := [i for i, j in zip(ids, ids[1:]) if i == j]:
+        raise ValueError(f"node id {repeated[0]} is used by more than one node")
+
+
 def build_links(nodes: list[SensorNode], phy: PhyParams) -> LinkSet:
     """Direct links wherever the single-hop SNR threshold is met;
     cooperative links from each sensor through its nearest other sensor
@@ -114,10 +121,9 @@ def build_links(nodes: list[SensorNode], phy: PhyParams) -> LinkSet:
     over the nodes in ascending id order."""
     if len(nodes) < 2:
         raise ValueError("need at least two nodes")
+    _check_ids(nodes)
     order = sorted(nodes, key=lambda n: n.id)
     ids = [n.id for n in order]
-    if repeated := [i for i, j in zip(ids, ids[1:]) if i == j]:
-        raise ValueError(f"node id {repeated[0]} is used by more than one node")
     x, y = np.array([(n.x, n.y) for n in order], dtype=float).T
     dx, dy = x[:, None] - x, y[:, None] - y
     # Correctly rounded where the squares sum exactly (integer
@@ -164,8 +170,10 @@ def solve_lifetime_lp(
     transmitter and one at each helper.  Raises ValueError when the
     network has no sink, or when no sensor has a positive rate, where
     the lifetime is unbounded, and SimplexError when the solver does
-    not report an optimum.
+    not report an optimum.  Two nodes with one id raise ValueError,
+    as in build_links.
     """
+    _check_ids(nodes)
     if not any(n.is_sink for n in nodes):
         raise ValueError("network has no sink")
     sensors = [n for n in nodes if not n.is_sink]
@@ -213,13 +221,13 @@ def solve_lifetime_lp(
 
     qhat: dict[tuple[int, int, bool], float] = {}
     energy_used = {n.id: 0.0 for n in nodes}
-    for k, (i, j, helpers) in enumerate(flows):
-        if sol.x[k] > 0.0:
-            q = float(sol.x[k])
-            qhat[(i, j, k >= n_direct)] = q
-            energy_used[i] += q
-            for h in helpers:
-                energy_used[h] += q
+    for k in np.flatnonzero(sol.x[:t_col] > 0.0).tolist():
+        i, j, helpers = flows[k]
+        q = float(sol.x[k])
+        qhat[(i, j, k >= n_direct)] = q
+        energy_used[i] += q
+        for h in helpers:
+            energy_used[h] += q
     return FlowSolution(
         qhat=qhat,
         lifetime=float(sol.x[t_col]),
@@ -372,8 +380,9 @@ def simulate_dynamic(
     emits round(node.rate) packets and raises ValueError if that is
     none at all.  Raises ValueError if the network has no sink.
     Returns completed rounds plus the delivered fraction of the failing
-    round.
+    round.  Two nodes with one id raise ValueError, as in build_links.
     """
+    _check_ids(nodes)
     if not any(n.is_sink for n in nodes):
         raise ValueError("network has no sink")
     rng = np.random.default_rng(seed)
@@ -442,7 +451,9 @@ def _min_hop_tree(sinks: set[int], links: LinkSet) -> dict[int, int]:
 
 def shortest_path_lifetime(nodes: list[SensorNode], links: LinkSet) -> float:
     """Static min-hop routing over direct links only: fixed paths,
-    ties toward lower node ids, lifetime until the busiest node dies."""
+    ties toward lower node ids, lifetime until the busiest node dies.
+    Two nodes with one id raise ValueError, as in build_links."""
+    _check_ids(nodes)
     sinks = {n.id for n in nodes if n.is_sink}
     if not sinks:
         raise ValueError("network has no sink")

@@ -1,9 +1,12 @@
 import itertools
 
+import math
+
 import numpy as np
 import pytest
 
-from wsnlife import lpsolver
+import simplex_reference as reference
+from wsnlife import harness, lpsolver, routing
 from wsnlife.lpsolver import LPSolution, SimplexError, StandardLP, solve_lp
 
 
@@ -128,6 +131,20 @@ class TestSolveLp:
         lp = StandardLP(a=[[1.0, 1.0]], b=[5.0], c=[1.0, 0.0])
         with pytest.raises(SimplexError, match="violates"):
             solve_lp(lp)
+
+    def test_nan_final_basis_raises(self, monkeypatch):
+        # A NaN in x_B compares false with every bound; it must not pass
+        # the final check as a feasible optimum.
+        iterate = lpsolver._iterate
+
+        def poisoned(a, cost, binv, x_b, basis, max_iters):
+            result = iterate(a, cost, binv, x_b, basis, max_iters)
+            x_b[0] = np.nan
+            return result
+
+        monkeypatch.setattr(lpsolver, "_iterate", poisoned)
+        with pytest.raises(SimplexError, match="violates"):
+            solve_lp(StandardLP(a=[[1.0, 1.0]], b=[5.0], c=[1.0, 0.0]))
 
     def test_redundant_rows_dropped(self):
         # Appending combinations of existing rows leaves the LP unchanged.
@@ -330,3 +347,171 @@ class TestStandardLP:
     def test_rejects_malformed_triplets(self, rows, cols, vals, shape, message):
         with pytest.raises(ValueError, match=message):
             StandardLP.from_triplets(rows, cols, vals, shape, [5.0], [1.0, 0.0])
+
+
+def scan_inputs(ratios, ids, rng):
+    """alpha, x_B and basis whose candidate rows (alpha 1) have these
+    ratios and basic ids, in this order, between rows that are not
+    candidates (alpha 0, -1 or 1e-10)."""
+    k = len(ratios)
+    alpha = np.ones(2 * k + 1)
+    alpha[::2] = rng.choice([0.0, -1.0, 1e-10], k + 1)
+    x_b = rng.random(2 * k + 1)
+    x_b[1::2] = ratios
+    basis = rng.permutation(10 * k + 10)[: 2 * k + 1]
+    basis[1::2] = ids
+    return alpha, x_b, basis
+
+
+def near_tie_chains(rng):
+    """(ratios, ids) whose scan depends on the path: chains of rows
+    stepping up or down by about 1e-12 or an ulp, longer than 1e-12
+    times their length where the ulp exceeds 1e-12, around magnitudes
+    where an ulp is below, near and above 1e-12."""
+    for base in (1.0, 2.0**12, 2.0**13, 2.0**40):
+        ulp = math.ulp(base)
+        for step in (0.9e-12, 0.99e-12, 1.1e-12, ulp, 2 * ulp):
+            for k in (3, 6, 7, 60):
+                up = base + step * np.arange(k)
+                for ratios in (up, up[::-1]):
+                    for ids in (np.arange(k), np.arange(k)[::-1], rng.permutation(k)):
+                        yield ratios, ids
+
+
+def assert_same_solve(lp, basis=None):
+    """Bitwise the reference solver's x, objective, status and counters."""
+    got, want = solve_lp(lp, basis), reference.solve_lp(lp, basis)
+    assert got.x.tobytes() == want.x.tobytes()
+    assert (got.objective.hex(), got.status, got.phase1_pivots, got.phase2_pivots, got.bland) == (
+        want.objective.hex(), want.status, want.phase1_pivots, want.phase2_pivots, want.bland)
+
+
+def lifetime_lp(n, seed, monkeypatch):
+    """The with-coop lifetime LP and crash basis of an n-node topology at
+    the bench's constant density."""
+    nodes = harness.generate_topology(n, 100.0 * math.sqrt(n / 30.0), seed)
+    links = routing.build_links(nodes, harness.default_phy())
+    captured = []
+    solve = routing.solve_lp
+    monkeypatch.setattr(routing, "solve_lp", lambda lp, basis: captured.append((lp, basis)) or solve(lp, basis))
+    routing.solve_lifetime_lp(nodes, links)
+    return captured[0]
+
+
+class TestPivotOracles:
+    """The vectorised pivot against the unvectorised one it replaced."""
+
+    def test_ratio_test_on_near_tie_chains(self):
+        rng = np.random.default_rng(24)
+        for ratios, ids in near_tie_chains(rng):
+            args = scan_inputs(ratios, ids, rng)
+            assert lpsolver._leaving_row(*args) == reference._leaving_row(*args), (ratios[0], ids[:3])
+
+    @pytest.mark.parametrize("base", [0.0, 1.0, 2.0**12, 2.0**13, 2.0**40])
+    def test_ratio_test_on_random_near_ties(self, base):
+        # rows a few steps of 1e-12 or an ulp apart, in any order, with
+        # ratios x_B / alpha that round
+        rng = np.random.default_rng(int(base) % 1000 + 1)
+        for trial in range(200):
+            k = int(rng.integers(1, 40))
+            step = rng.choice([0.5e-12, 0.9e-12, 1e-12, math.ulp(base + 1.0)])
+            ratios = base + step * rng.integers(0, 3 * k, k)
+            alpha, x_b, basis = scan_inputs(ratios, rng.permutation(k), rng)
+            alpha[1::2] = rng.uniform(0.5, 2.0, k)
+            x_b[1::2] *= alpha[1::2]
+            args = alpha, x_b, basis
+            assert lpsolver._leaving_row(*args) == reference._leaving_row(*args), trial
+
+    @pytest.mark.parametrize(
+        "ratios",
+        [
+            [0.0] * 5 + [1e-13, 5e-13, 1e-12, 2e-12, 0.3],  # exact zeros, then near zero
+            [-1e-13, 0.0, 1e-13, 0.0, -2e-12],
+            [0.25] * 40,  # all equal
+            [2.0**40] * 10 + [2.0**40 + 2.0**-12],
+        ],
+        ids=["zeros", "signed-near-zero", "all-equal", "equal-at-2^40"],
+    )
+    def test_ratio_test_on_exact_ties(self, ratios):
+        rng = np.random.default_rng(len(ratios))
+        for trial in range(20):
+            order = rng.permutation(len(ratios))
+            args = scan_inputs(np.array(ratios)[order], rng.permutation(len(ratios)), rng)
+            assert lpsolver._leaving_row(*args) == reference._leaving_row(*args), trial
+
+    def test_ratio_test_without_candidates(self):
+        alpha, x_b, basis = np.array([0.0, -1.0, 1e-10]), np.ones(3), np.arange(3)
+        assert lpsolver._leaving_row(alpha, x_b, basis) == reference._leaving_row(alpha, x_b, basis) == -1
+
+    def test_pricing_matches_bincount(self):
+        # columns of 0, 1, 2, 3, 4, 5, 12 and 30 entries; terms spread
+        # over 16 decades, so a sum in another order would differ
+        rng = np.random.default_rng(9)
+        m, counts = 30, [0, 1, 2, 3, 4, 5, 12, 30] * 5
+        rows = np.concatenate([np.sort(rng.choice(m, c, replace=False)) for c in counts]).astype(np.intp)
+        cols = np.repeat(np.arange(len(counts)), counts)
+        vals = rng.normal(size=len(rows)) * 10.0 ** rng.integers(-8, 9, len(rows))
+        ours, theirs = (mod._Columns(rows, cols, vals, len(counts)) for mod in (lpsolver, reference))
+        for trial in range(50):
+            y = rng.normal(size=m) * 10.0 ** rng.integers(-8, 9, m)
+            assert np.array_equal(ours.price(y), theirs.price(y)[: len(counts)]), trial
+
+    def test_pricing_matches_bincount_on_a_lifetime_lp(self, monkeypatch):
+        lp, _basis = lifetime_lp(30, 1, monkeypatch)
+        m, n = lp.shape
+        ours, theirs = (mod._Columns(lp.rows, lp.cols, lp.vals, n) for mod in (lpsolver, reference))
+        rng = np.random.default_rng(3)
+        for trial in range(20):
+            y = rng.normal(size=m)
+            assert np.array_equal(ours.price(y), theirs.price(y)[:n]), trial
+
+    def test_random_lps_solve_bit_for_bit(self):
+        rng = np.random.default_rng(2424)
+        for trial in range(40):
+            m = int(rng.integers(2, 8))
+            lp = random_feasible_lp(rng, m, int(rng.integers(m + 1, 16)))
+            a, b = lp.a, lp.b.copy()
+            flip = rng.random(len(b)) < 0.5  # negative right-hand sides
+            a[flip], b[flip] = -a[flip], -b[flip]
+            lp = StandardLP(a=a, b=b, c=lp.c)
+            assert_same_solve(lp)
+            assert_same_solve(lp, first_feasible_basis(lp))
+            w = rng.normal(size=(2, len(b)))  # redundant rows
+            assert_same_solve(StandardLP(a=np.vstack([w @ a, a]), b=np.append(w @ b, b), c=lp.c))
+
+    def test_larger_random_lp_solves_bit_for_bit(self):
+        rng = np.random.default_rng(77)
+        for trial in range(3):
+            assert_same_solve(random_feasible_lp(rng, 25, 60))
+
+    def test_special_lps_solve_bit_for_bit(self):
+        cycling = StandardLP(
+            a=[
+                [0.25, -8.0, -1.0, 9.0, 0.1, 0.0, 0.0, 0.0],
+                [0.5, -12.0, -0.5, 3.0, 0.0, 0.1, 0.0, 0.0],
+                [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.1, 0.0],
+                [0.0, 0.0, 1.0, -18.0, 0.0, 0.0, 0.0, 0.1],
+            ],
+            b=[0.0, 0.0, 1.0, 100.0],
+            c=[0.75, -20.0, 0.5, -6.0, 0.0, 0.0, 0.0, 0.0],
+        )
+        assert solve_lp(cycling).bland
+        assert_same_solve(cycling)
+        assert_same_solve(StandardLP(a=[[1.0, 1.0], [1.0, 1.0]], b=[1.0, 2.0], c=[1.0, 0.0]))  # infeasible
+        assert_same_solve(StandardLP(a=[[1.0, -1.0]], b=[0.0], c=[1.0, 0.0]))  # unbounded
+        assert_same_solve(StandardLP(a=[[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]], b=[1.0, 2.0], c=[1.0, 0.0, 0.0]), [0, 4])
+
+    @pytest.mark.parametrize("n, seed", [(30, 1), (30, 2), (60, 1), (100, 1)])
+    def test_lifetime_lps_solve_bit_for_bit(self, monkeypatch, n, seed):
+        lp, basis = lifetime_lp(n, seed, monkeypatch)
+        assert_same_solve(lp, basis)
+        if n == 30:
+            assert_same_solve(lp)  # from every artificial
+
+    def test_non_finite_reduced_cost_is_not_optimal(self):
+        # y = c_B B^-1 is NaN on row 0, so no reduced cost is finite; a
+        # scan that skipped the NaNs would find nothing improving.
+        a = lpsolver._Columns(np.array([0, 0, 1, 1]), np.array([0, 1, 1, 2]), np.ones(4), 3)
+        binv = np.array([[np.nan, 0.0], [0.0, 1.0]])
+        with pytest.raises(SimplexError, match="not finite"):
+            lpsolver._iterate(a, np.array([1.0, 0.0, 0.0]), binv, np.ones(2), np.array([0, 2]), 10)

@@ -31,6 +31,13 @@ def two_node_net(phy, spacing):
     ]
 
 
+def repeated_id_net(phy):
+    """Links built from a sink and sensor 1, handed a node list that
+    repeats id 1 at another spot."""
+    base = [SensorNode(0, 0.0, 0.0, rate=-2.0), SensorNode(1, 30.0, 0.0)]
+    return base + [SensorNode(1, 60.0, 0.0)], build_links(base, phy)
+
+
 class TestSensorNode:
     @pytest.mark.parametrize("field", ["x", "y", "energy", "rate"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -243,6 +250,12 @@ def reference_lp_matrix(nodes, links, with_coop):
 
 
 class TestLifetimeLp:
+    def test_repeated_id_rejected(self, phy):
+        # Unchecked, the solver reported a singular starting basis.
+        nodes, links = repeated_id_net(phy)
+        with pytest.raises(ValueError, match="^node id 1 is used by more than one node$"):
+            solve_lifetime_lp(nodes, links)
+
     @pytest.mark.parametrize("with_coop", [False, True])
     @pytest.mark.parametrize("seed", [None, 1, 2, 3])
     def test_assembly_matches_row_by_row_reference(
@@ -898,6 +911,12 @@ class TestDynamicCost:
 
 
 class TestSimulateDynamic:
+    def test_repeated_id_rejected(self, phy):
+        # Unchecked, the second node 1 replaced the first and 1.0 came back.
+        nodes, links = repeated_id_net(phy)
+        with pytest.raises(ValueError, match="^node id 1 is used by more than one node$"):
+            simulate_dynamic(nodes, links)
+
     def test_single_hop(self, phy):
         nodes = two_node_net(phy, 0.5)
         links = build_links(nodes, phy)
@@ -1017,6 +1036,12 @@ class TestSimulateDynamic:
 
 
 class TestShortestPath:
+    def test_repeated_id_rejected(self, phy):
+        # Unchecked, both nodes 1 spent on one route and 0.5 came back.
+        nodes, links = repeated_id_net(phy)
+        with pytest.raises(ValueError, match="^node id 1 is used by more than one node$"):
+            shortest_path_lifetime(nodes, links)
+
     def test_one_hop(self, phy):
         nodes = two_node_net(phy, 0.5)
         links = build_links(nodes, phy)
