@@ -166,8 +166,8 @@ def main(argv: list[str] | None = None) -> int:
         else:
             nodes = harness.load_topology(given.pop("topology"))
             links = build_links(nodes, phy)
+            given.pop("seed", None)  # neither the LP nor the heuristic draws at random
             if command == "lp":
-                given.pop("seed", None)  # the LP draws nothing at random
                 text = harness.flow_solution_to_json(solve_lifetime_lp(nodes, links, **given))
             else:
                 betas = {name: given.pop(name) for name in ("beta1", "beta2") if name in given}

@@ -236,7 +236,7 @@ def run_disk(
 
 def _compare_instance(args) -> tuple | None:
     n, field_size, phy, seed, index = args
-    nodes = generate_topology(n, field_size, _spawn_seed(seed, index) % 2**32)
+    nodes = generate_topology(n, field_size, _spawn_seed(seed, index))
     links = build_links(nodes, phy)
     try:
         sp = shortest_path_lifetime(nodes, links)

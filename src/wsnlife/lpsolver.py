@@ -42,9 +42,9 @@ class StandardLP:
     takes a dense matrix and from_triplets takes (row, col, value)
     entries in any order; both store the same arrays, with explicit
     zeros dropped.  Non-finite entries, out-of-range or repeated
-    indices and mismatched sizes raise ValueError.  lp.a is a dense
-    copy of A built on each access, O(m*n) time and memory; the solver
-    never reads it."""
+    indices, mismatched sizes and no rows raise ValueError.  lp.a is a
+    dense copy of A built on each access, O(m*n) time and memory; the
+    solver never reads it."""
 
     __slots__ = ("rows", "cols", "vals", "b", "c")
 
@@ -70,6 +70,8 @@ class StandardLP:
         m, n = b.shape[0], c.shape[0]
         if tuple(shape) != (m, n):
             raise ValueError(f"inconsistent LP dimensions: A is {tuple(shape)}, b has {m}, c {n}")
+        if m == 0:
+            raise ValueError("an LP needs at least one row")
         rows, cols = (np.asarray(v) for v in (rows, cols))
         if not rows.shape == cols.shape == vals.shape or vals.ndim != 1:
             raise ValueError("rows, cols and vals must be vectors of one length")

@@ -10,8 +10,8 @@ energy unit per packet just like the transmitter.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -363,33 +363,23 @@ def _weight_groups(
 
 
 def simulate_dynamic(
-    nodes: list[SensorNode],
-    links: LinkSet,
-    params: CostParams = CostParams(),
-    traffic=None,
-    seed: int = 0,
-    max_rounds: int = 10**6,
+    nodes: list[SensorNode], links: LinkSet, params: CostParams = CostParams()
 ) -> float:
-    """Round-based heuristic: every origin emits its per-round packets,
-    each routed along the current least-cost path; energies are
+    """Round-based heuristic: every sensor emits round(rate) packets a
+    round, each routed along the current least-cost path; energies are
     decremented one unit per transmission (helpers included).
 
-    traffic maps (rng, node) to that node's packet count, a
-    nonnegative integer (anything else raises a ValueError naming the
-    node); the default
-    emits round(node.rate) packets and raises ValueError if that is
-    none at all.  Raises ValueError if the network has no sink.
-    Returns completed rounds plus the delivered fraction of the failing
-    round.  Two nodes with one id raise ValueError, as in build_links.
+    Raises ValueError if the network has no sink or if no sensor emits
+    a packet (every rate rounds to 0).  Returns completed rounds plus
+    the delivered fraction of the failing round.  The loop needs no
+    round cap: each packet's first hop drains its origin by one unit
+    (exactly, for energies below 2**53), and _least_cost_path returns
+    None once the origin's cost term is infinite (below one unit).
+    Two nodes with one id raise ValueError, as in build_links.
     """
     _check_ids(nodes)
     if not any(n.is_sink for n in nodes):
         raise ValueError("network has no sink")
-    rng = np.random.default_rng(seed)
-    if traffic is None:
-        if sum(int(round(n.rate)) for n in nodes if n.rate > 0) == 0:
-            raise ValueError("no sensor emits a packet per round (every rate rounds to 0)")
-        traffic = lambda _rng, node: int(round(node.rate))
     # Dense indexes in ascending id order: the map is monotone, so the
     # heap order and both tie rules are those of the ids.
     by_id = {n.id: n for n in nodes}
@@ -398,22 +388,15 @@ def simulate_dynamic(
     is_sink = [by_id[i].is_sink for i in ids]
     initial = [by_id[i].energy for i in ids]
     remaining = list(initial)
-    origins = [(index[i], by_id[i]) for i in ids if by_id[i].rate > 0]
+    packets = [(index[i], round(by_id[i].rate)) for i in ids if by_id[i].rate > 0]
+    emitted = sum(count for _k, count in packets)
+    if emitted == 0:
+        raise ValueError("no sensor emits a packet per round (every rate rounds to 0)")
     groups = [_weight_groups(links, i, index, is_sink) for i in ids]
     tx = [dynamic_cost(e, e, params.beta1) for e in initial]
     helper = [dynamic_cost(e, e, params.beta2) for e in initial]
 
-    for rnd in range(max_rounds):
-        packets = [(k, traffic(rng, node)) for k, node in origins]
-        for k, count in packets:
-            if not isinstance(count, numbers.Integral) or count < 0:
-                raise ValueError(
-                    f"traffic gave node {ids[k]} {count!r} packets; "
-                    "a packet count must be a nonnegative integer"
-                )
-        emitted = sum(count for _k, count in packets)
-        if emitted == 0:
-            continue
+    for rnd in itertools.count():
         delivered = 0
         for origin, count in packets:
             for _ in range(count):
@@ -426,7 +409,6 @@ def simulate_dynamic(
                         tx[k] = dynamic_cost(initial[k], remaining[k], params.beta1)
                         helper[k] = dynamic_cost(initial[k], remaining[k], params.beta2)
                 delivered += 1
-    return float(max_rounds)
 
 
 def _min_hop_tree(sinks: set[int], links: LinkSet) -> dict[int, int]:

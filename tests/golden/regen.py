@@ -5,8 +5,9 @@
   DISK;
 - topo12c.json, a topology where four sensors reach the sink only
   through cooperative links;
+- topo12r.json, topo12 with fractional and integer sensor rates;
 - network.json, the same for `wsnlife simulate` and `wsnlife lp` on the
-  three topologies and for one small `wsnlife compare`, each argv in
+  four topologies and for one small `wsnlife compare`, each argv in
   NETWORK.
 
 Run from anywhere as `python tests/golden/regen.py`; it imports the
@@ -65,7 +66,15 @@ NETWORK = tuple(
     "lp --topology topo12c.json --no-coop",
     # random topologies; its means go into the # mean_rows= line
     "compare --counts 10 15 --instances 4",
+    # round(rate) packets a round, half to even: 0.5 -> 0, 2.5 -> 2
+    "simulate --topology topo12r.json",
+    "simulate --topology topo12r.json --beta1 0.5 --beta2 3",
+    "lp --topology topo12r.json",
+    # the heuristic draws nothing at random: the unseeded entry's hash
+    "--seed 5 simulate --topology topo12.json",
 )
+
+RATES = (0.5, 1.5, 2.5, 3.0, 0.4, 1.0, 2.0, 1.6)
 
 
 def topologies() -> dict[str, list]:
@@ -73,7 +82,8 @@ def topologies() -> dict[str, list]:
     simulation routes hundreds of packets at unequal costs.  topo14 has
     unsorted, non-contiguous ids and a second sink; in topo12c four
     sensors have no direct route to the sink, and all of them reach it
-    once cooperative links count."""
+    once cooperative links count; topo12r gives topo12's sensors the
+    rates RATES in turn."""
     from wsnlife.harness import generate_topology
 
     small = [replace(n, energy=40.0) for n in generate_topology(12, 80.0, 4)]
@@ -82,7 +92,8 @@ def topologies() -> dict[str, list]:
         for n in reversed(generate_topology(14, 80.0, 5))
     ]
     coop = [replace(n, energy=40.0) for n in generate_topology(12, 110.0, 13)]
-    return {"topo12.json": small, "topo14.json": mixed, "topo12c.json": coop}
+    rated = [n if n.is_sink else replace(n, rate=RATES[(n.id - 1) % len(RATES)]) for n in small]
+    return {"topo12.json": small, "topo14.json": mixed, "topo12c.json": coop, "topo12r.json": rated}
 
 
 def stdout_sha256(argv: list[str]) -> str:

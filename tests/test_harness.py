@@ -330,7 +330,7 @@ class TestCli:
             (["compare"], {}),
             (["compare", "--field", "50", "--workers", "2"], {"field_size": 50.0, "workers": 2}),
             (["simulate"], {}),
-            (["--seed", "5", "simulate"], {"seed": 5}),
+            (["--seed", "5", "simulate"], {}),
         ],
     )
     def test_forwards_only_the_flags_given(

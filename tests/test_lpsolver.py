@@ -348,6 +348,13 @@ class TestStandardLP:
         with pytest.raises(ValueError, match=message):
             StandardLP.from_triplets(rows, cols, vals, shape, [5.0], [1.0, 0.0])
 
+    def test_rejects_no_rows(self):
+        # solve_lp once failed on it with numpy's "zero-size array" error
+        with pytest.raises(ValueError, match="^an LP needs at least one row$"):
+            StandardLP(a=np.zeros((0, 2)), b=[], c=[1.0, 0.0])
+        with pytest.raises(ValueError, match="^an LP needs at least one row$"):
+            StandardLP.from_triplets([], [], [], (0, 2), [], [0.0, 0.0])
+
 
 def scan_inputs(ratios, ids, rng):
     """alpha, x_B and basis whose candidate rows (alpha 1) have these

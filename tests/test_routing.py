@@ -1,4 +1,5 @@
 import heapq
+import itertools
 import math
 from dataclasses import replace
 
@@ -641,22 +642,17 @@ def reference_least_cost_path(src, sinks, links, params, initial, remaining):
     return None
 
 
-def reference_simulate(nodes, links, params=CostParams(), traffic=None, seed=0, max_rounds=10**6):
+def reference_simulate(nodes, links, params=CostParams()):
     """The round-based heuristic with every link cost recomputed from
-    the remaining energies on each relaxation."""
-    rng = np.random.default_rng(seed)
-    if traffic is None:
-        traffic = lambda _rng, node: int(round(node.rate))
-    by_id = {n.id: n for n in nodes}
+    the remaining energies on each relaxation; each sensor emits
+    round(rate) packets a round."""
     sinks = {n.id for n in nodes if n.is_sink}
     initial = {n.id: n.energy for n in nodes}
     remaining = dict(initial)
-    origins = sorted(n.id for n in nodes if n.rate > 0)
-    for rnd in range(max_rounds):
-        packets = [(o, traffic(rng, by_id[o])) for o in origins]
-        emitted = sum(cnt for _o, cnt in packets)
-        if emitted == 0:
-            continue
+    packets = sorted((n.id, round(n.rate)) for n in nodes if n.rate > 0)
+    emitted = sum(cnt for _o, cnt in packets)
+    assert emitted > 0, "no sensor emits, so no round would end the run"
+    for rnd in itertools.count():
         delivered = 0
         for origin, count in packets:
             for _ in range(count):
@@ -668,17 +664,28 @@ def reference_simulate(nodes, links, params=CostParams(), traffic=None, seed=0, 
                     for h in links.coop[(i, j)] if is_coop else ():
                         remaining[h] -= 1.0
                 delivered += 1
-    return float(max_rounds)
 
 
-def assert_matches_reference(nodes, links, rng, traffic, seed):
-    """simulate_dynamic == reference_simulate at the default exponents
-    and default traffic, then at random exponents with `traffic`."""
+def with_random_rates(nodes, rng):
+    """nodes with each sensor's rate an integer 0-2 drawn from rng: 0
+    where the sensor starts below one unit (it can neither transmit
+    nor help), redrawn until some sensor emits."""
+    while True:
+        drawn = [
+            v if v.is_sink
+            else replace(v, rate=0.0 if v.energy < 1.0 else float(rng.integers(0, 3)))
+            for v in nodes
+        ]
+        if any(v.rate > 0 for v in drawn):
+            return drawn
+
+
+def assert_matches_reference(nodes, links, rng):
+    """simulate_dynamic == reference_simulate at the default exponents,
+    then at random ones."""
     assert simulate_dynamic(nodes, links) == reference_simulate(nodes, links)
     params = CostParams(float(rng.uniform(0.3, 3.0)), float(rng.uniform(0.3, 3.0)))
-    assert simulate_dynamic(nodes, links, params, traffic, seed=seed) == reference_simulate(
-        nodes, links, params, traffic, seed=seed
-    )
+    assert simulate_dynamic(nodes, links, params) == reference_simulate(nodes, links, params)
 
 
 def unbounded_least_cost_path(
@@ -934,12 +941,12 @@ class TestSimulateDynamic:
 
     @pytest.mark.parametrize("rate", [0.0, 0.4])
     def test_no_packets_raises(self, phy, rate):
-        # Default traffic emits round(rate) = 0 packets a round, which
-        # would otherwise spin through every round.
+        # round(rate) = 0 packets a round: no round would ever end
+        # the run.
         nodes = two_node_net(phy, 0.5)
         nodes[1] = replace(nodes[1], rate=rate)
         with pytest.raises(ValueError, match="no sensor emits a packet"):
-            simulate_dynamic(nodes, build_links(nodes, phy), max_rounds=10)
+            simulate_dynamic(nodes, build_links(nodes, phy))
 
     def test_no_sink_raises(self, phy):
         # not a lifetime of 0.0 rounds
@@ -963,23 +970,18 @@ class TestSimulateDynamic:
     def test_matches_per_edge_reference(self, phy, seed):
         # random multi-hop topologies with fractional energies, about
         # one node in twenty below one unit (it can neither transmit
-        # nor help); once at the default exponents, once at random
-        # ones with random traffic in which those nodes emit nothing
+        # nor help) and random rates 0-2, 0 at those nodes; once at the
+        # default exponents, once at random ones
         rng = np.random.default_rng(seed)
-        traffic = lambda g, node: 0 if node.energy < 1.0 else int(g.integers(0, 3))
-        for k in range(20):
+        for _ in range(20):
             n = int(rng.integers(8, 19))
             nodes = [
                 replace(v, energy=float(rng.uniform(0.5, 1.0) if rng.random() < 0.05
                                         else rng.uniform(1.0, 4.0 * n)))
                 for v in generate_topology(n, 90.0, int(rng.integers(2**31)))
             ]
-            links = build_links(nodes, phy)
-            assert simulate_dynamic(nodes, links) == reference_simulate(nodes, links)
-            params = CostParams(float(rng.uniform(0.3, 3.0)), float(rng.uniform(0.3, 3.0)))
-            assert simulate_dynamic(nodes, links, params, traffic, seed=k) == reference_simulate(
-                nodes, links, params, traffic, seed=k
-            )
+            nodes = with_random_rates(nodes, rng)
+            assert_matches_reference(nodes, build_links(nodes, phy), rng)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_sparse_shuffled_ids_two_sinks(self, phy, seed):
@@ -987,8 +989,7 @@ class TestSimulateDynamic:
         # the dense index map must keep the id order that breaks ties
         # between predecessors and between equally cheap sinks
         rng = np.random.default_rng(100 + seed)
-        traffic = lambda g, node: g.integers(0, 3)  # numpy integers
-        for k in range(10):
+        for _ in range(10):
             n = int(rng.integers(8, 17))
             nodes = [
                 replace(v, id=1000 - 37 * v.id, energy=float(rng.uniform(1.0, 3.0 * n)))
@@ -996,8 +997,8 @@ class TestSimulateDynamic:
             ]
             second = int(rng.integers(1, n))
             nodes[second] = replace(nodes[second], rate=-1.0)
-            nodes = [nodes[i] for i in rng.permutation(n)]
-            assert_matches_reference(nodes, build_links(nodes, phy), rng, traffic, k)
+            nodes = with_random_rates([nodes[i] for i in rng.permutation(n)], rng)
+            assert_matches_reference(nodes, build_links(nodes, phy), rng)
 
     def test_hand_built_links_mixed_helper_tuples(self):
         # build_links only makes single-helper links; here transmitter
@@ -1008,31 +1009,13 @@ class TestSimulateDynamic:
         coop = {(5, 1): (2, 3), (5, 2): (6,), (5, 3): (6,), (5, 8): (7,), (6, 1): (4, 5)}
         links = LinkSet(direct=frozenset(direct), coop=coop)
         rng = np.random.default_rng(7)
-        traffic = lambda g, node: 0 if node.id == 7 else int(g.integers(0, 3))
-        for k in range(20):
+        for _ in range(20):
             nodes = [SensorNode(id=1, x=0.0, y=0.0, rate=-7.0)] + [
-                SensorNode(id=i, x=float(i), y=0.0, rate=0.0 if i == 7 else 1.0,
+                SensorNode(id=i, x=float(i), y=0.0,
                            energy=0.5 if i == 7 else float(rng.uniform(1.0, 12.0)))
                 for i in range(2, 9)
             ]
-            assert_matches_reference(nodes, links, rng, traffic, k)
-
-    @pytest.mark.parametrize("bad", [-1, 1.5, 2.0])
-    def test_bad_packet_count_raises(self, phy, bad):
-        # node 1 sends one packet a round and node 2 `bad`; at -1 the
-        # counts sum to zero, which must not pass for an empty round
-        nodes = generate_topology(6, 60.0, 3)
-        links = build_links(nodes, phy)
-        traffic = lambda _rng, node: bad if node.id == 2 else int(node.id == 1)
-        with pytest.raises(ValueError, match="node 2 "):
-            simulate_dynamic(nodes, links, traffic=traffic, max_rounds=20000)
-
-    def test_seed_determinism(self, phy, snapshot_nodes):
-        links = build_links(snapshot_nodes, phy)
-        traffic = lambda rng, node: int(rng.integers(1, 3))
-        a = simulate_dynamic(snapshot_nodes, links, traffic=traffic, seed=5)
-        b = simulate_dynamic(snapshot_nodes, links, traffic=traffic, seed=5)
-        assert a == b
+            assert_matches_reference(with_random_rates(nodes, rng), links, rng)
 
 
 class TestShortestPath:
