@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field, fields
 
 import numpy as np
 
@@ -56,36 +56,83 @@ class SensorNode:
         return self.rate < 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinkSet:
     """Directed direct links plus cooperative links (src, dst) ->
-    helper tuple.
+    helper tuple, held as integer arrays sorted by (src, dst).
 
-    The adjacency indexes are built once from those two fields (and
-    again by dataclasses.replace); each maps a node id to its target
-    ids in ascending order.
+    direct and coop are the constructor's arguments.  Reading them
+    back builds a frozenset and a dict anew on each access, so that no
+    Python object per link outlives a call.  direct_pairs and
+    coop_pairs hold sources in row 0 and targets in row 1; coop link
+    k's helpers are helpers[helper_start[k]:helper_start[k + 1]].
+    Two link sets are equal when their links are.
     """
 
-    direct: frozenset[tuple[int, int]]
-    coop: dict[tuple[int, int], tuple[int, ...]]
-    direct_succ: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
-    coop_succ: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
-    direct_pred: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    # The direct and coop properties below become these InitVars'
+    # defaults, which is how dataclasses.replace reads them back.
+    direct: InitVar[frozenset[tuple[int, int]]]
+    coop: InitVar[dict[tuple[int, int], tuple[int, ...]]]
+    direct_pairs: np.ndarray = field(init=False)
+    coop_pairs: np.ndarray = field(init=False)
+    helper_start: np.ndarray = field(init=False)
+    helpers: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "direct_succ", _adjacency(self.direct))
-        object.__setattr__(self, "coop_succ", _adjacency(self.coop))
-        object.__setattr__(self, "direct_pred", _adjacency((j, i) for i, j in self.direct))
+    def __post_init__(self, direct, coop):
+        keys = sorted(coop)
+        tuples = [tuple(coop[key]) for key in keys]
+        self._store(
+            _pair_array(sorted(set(direct))),
+            _pair_array(keys),
+            np.cumsum([0] + [len(h) for h in tuples]),
+            [h for hs in tuples for h in hs],
+        )
+
+    @classmethod
+    def _of_arrays(cls, *arrays) -> LinkSet:
+        """A link set of arrays already in LinkSet's order, given in
+        field order."""
+        return cls.__new__(cls)._store(*arrays)
+
+    def _store(self, *arrays) -> LinkSet:
+        for f, a in zip(fields(self), arrays):
+            object.__setattr__(self, f.name, np.asarray(a, dtype=np.int64))
+        return self
+
+    @property
+    def direct(self) -> frozenset[tuple[int, int]]:
+        return frozenset(zip(*self.direct_pairs.tolist()))
+
+    @property
+    def coop(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        start, flat = self.helper_start.tolist(), self.helpers.tolist()
+        # zip(flat) makes the 1-tuples of build_links' links fastest
+        one_each = start == list(range(len(start)))
+        tuples = zip(flat) if one_each else (tuple(flat[a:b]) for a, b in zip(start, start[1:]))
+        return dict(zip(zip(*self.coop_pairs.tolist()), tuples))
+
+    def __eq__(self, other):
+        if not isinstance(other, LinkSet):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
     def direct_out(self, i: int) -> tuple[int, ...]:
-        return self.direct_succ.get(i, ())
+        """Node i's direct targets in ascending order."""
+        return tuple(self.direct_pairs[1, _leaving(self.direct_pairs, i)].tolist())
+
+    def helpers_of(self, k: int) -> tuple[int, ...]:
+        """The helper tuple of coop link k (column k of coop_pairs)."""
+        return tuple(self.helpers[self.helper_start[k]:self.helper_start[k + 1]].tolist())
 
 
-def _adjacency(pairs) -> dict[int, tuple[int, ...]]:
-    out: dict[int, list[int]] = {}
-    for i, j in pairs:
-        out.setdefault(i, []).append(j)
-    return {i: tuple(sorted(js)) for i, js in out.items()}
+def _pair_array(pairs: list[tuple[int, int]]) -> np.ndarray:
+    """(src, dst) pairs as a 2 x len(pairs) array."""
+    return np.array(pairs, dtype=np.int64).reshape(len(pairs), 2).T.copy()
+
+
+def _leaving(pairs: np.ndarray, i: int) -> slice:
+    """The columns of pairs, sorted by source, whose source is i."""
+    return slice(pairs[0].searchsorted(i), pairs[0].searchsorted(i, "right"))
 
 
 @dataclass(frozen=True)
@@ -107,8 +154,11 @@ class CostParams:
 
 
 def _check_ids(nodes: list[SensorNode]) -> None:
-    """Raise ValueError if two nodes share an id."""
+    """Raise ValueError if two nodes share an id, or if an id does not
+    fit in 64 bits, as LinkSet holds ids in int64 arrays."""
     ids = sorted(n.id for n in nodes)
+    if ids and not -(2**63) <= ids[0] <= ids[-1] < 2**63:
+        raise ValueError("node ids must fit in 64 bits")
     if repeated := [i for i, j in zip(ids, ids[1:]) if i == j]:
         raise ValueError(f"node id {repeated[0]} is used by more than one node")
 
@@ -148,14 +198,12 @@ def build_links(nodes: list[SensorNode], phy: PhyParams) -> LinkSet:
         power = dist ** -phy.alpha  # 0 on the diagonal
     reach = (power[src] + power[helper] >= threshold) & ~direct[src]
     reach[np.arange(len(src)), src] = False  # no link to the source itself
-    i, j = np.nonzero(direct)
+    # np.nonzero lists rows in ascending order, each row's columns too,
+    # so the links come out in (src, dst) order.
+    ids = np.array(ids, dtype=np.int64)
     k, t = np.nonzero(reach)
-    return LinkSet(
-        direct=frozenset((ids[a], ids[b]) for a, b in zip(i.tolist(), j.tolist())),
-        coop={
-            (ids[s], ids[m]): (ids[h],)
-            for s, h, m in zip(src[k].tolist(), helper[k].tolist(), t.tolist())
-        },
+    return LinkSet._of_arrays(
+        ids[np.stack(np.nonzero(direct))], ids[np.stack([src[k], t])], np.arange(len(k) + 1), ids[helper[k]]
     )
 
 
@@ -179,21 +227,31 @@ def solve_lifetime_lp(
     sensors = [n for n in nodes if not n.is_sink]
     if not any(n.rate > 0 for n in sensors):
         raise ValueError("no sensor has a positive rate, so the lifetime is unbounded")
-    row_of = {n.id: r for r, n in enumerate(sensors)}
-    # (src, dst, helpers) per flow column: direct links, then coop links.
-    flows = [(i, j, ()) for (i, j) in sorted(links.direct) if i in row_of]
-    n_direct = len(flows)
-    if with_coop:
-        flows += [(i, m, h) for (i, m), h in sorted(links.coop.items()) if i in row_of]
-    ns, t_col = len(sensors), len(flows)
+    ns = len(sensors)
+    by_id = np.argsort([n.id for n in sensors])
+    ranked = np.array([sensors[r].id for r in by_id], dtype=np.int64)
+
+    def row_of(v):  # sensor row of each id in v, -1 for any other id
+        at = np.minimum(ranked.searchsorted(v), ns - 1)
+        return np.where(ranked[at] == v, by_id[at], -1)
+
+    # Flow columns: the direct links out of sensors, then the coop
+    # links out of sensors, each in (src, dst) order.
+    direct_col = row_of(links.direct_pairs[0]) >= 0
+    coop_col = (row_of(links.coop_pairs[0]) >= 0) & bool(with_coop)
+    pairs = np.concatenate([links.direct_pairs[:, direct_col], links.coop_pairs[:, coop_col]], axis=1)
+    n_direct, t_col = int(direct_col.sum()), pairs.shape[1]
     # rows: flow conservation (out - in - rate*T = 0) | energy caps
     # (transmissions + helper duty + slack = energy);
     # columns: flows | T | energy slacks.  Entries that meet at one
     # (row, col) add up, as a hand-made link set can make them do.
-    ends = [(row_of[i], row_of.get(j, -1)) for i, j, _h in flows]  # -1: into a sink
-    src, dst = np.array(ends, dtype=np.intp).reshape(-1, 2).T
-    duty = [(k, ns + row_of[h]) for k, (_i, _j, hs) in enumerate(flows[n_direct:], n_direct) for h in hs]
-    hk, hr = np.array(duty, dtype=np.intp).reshape(-1, 2).T
+    src, dst = row_of(pairs)  # dst -1: into a sink
+    counts = np.diff(links.helper_start)
+    hk = n_direct + np.repeat(np.arange(t_col - n_direct), counts[coop_col])
+    hr = row_of(links.helpers[np.repeat(coop_col, counts)])
+    if (hr < 0).any():
+        raise ValueError("a cooperative link has a helper that is not a sensor")
+    hr += ns
     k, r, into = np.arange(t_col), np.arange(ns), dst >= 0
     rows = np.concatenate([src, ns + src, dst[into], hr, r, ns + r])
     cols = np.concatenate([k, k, k[into], hk, np.full(ns, t_col), t_col + 1 + r])
@@ -211,8 +269,8 @@ def solve_lifetime_lp(
     # row's artificial (id len(c) + row) where it has none, and every
     # energy slack.  B is triangular in hop order, and x_B = (0, E) >= 0.
     tree = _min_hop_tree({n.id for n in nodes if n.is_sink}, links)
-    column = {(i, j): k for k, (i, j, _h) in enumerate(flows[:n_direct])}
-    basis = [column[(n.id, tree[n.id])] if n.id in tree else len(c) + r for r, n in enumerate(sensors)]
+    column = (np.cumsum(direct_col) - 1).tolist()  # of each direct link out of a sensor
+    basis = [column[tree[n.id]] if n.id in tree else len(c) + r for r, n in enumerate(sensors)]
     sol = solve_lp(lp, basis + list(range(t_col + 1, t_col + 1 + ns)))
     # x = 0, T = 0 with every slack at its energy is feasible, and a
     # positive rate bounds T, so any other status is a solver fault
@@ -221,12 +279,13 @@ def solve_lifetime_lp(
 
     qhat: dict[tuple[int, int, bool], float] = {}
     energy_used = {n.id: 0.0 for n in nodes}
+    coop_links = np.flatnonzero(coop_col).tolist()
     for k in np.flatnonzero(sol.x[:t_col] > 0.0).tolist():
-        i, j, helpers = flows[k]
+        i, j = pairs[:, k].tolist()
         q = float(sol.x[k])
         qhat[(i, j, k >= n_direct)] = q
         energy_used[i] += q
-        for h in helpers:
+        for h in links.helpers_of(coop_links[k - n_direct]) if k >= n_direct else ():
             energy_used[h] += q
     return FlowSolution(
         qhat=qhat,
@@ -352,8 +411,9 @@ def _weight_groups(
     each group split into its sink and its relay targets, both in
     ascending target order."""
     groups = {(): [index[v] for v in links.direct_out(i)]}
-    for m in links.coop_succ.get(i, ()):
-        helpers = tuple(index[h] for h in links.coop[(i, m)])
+    out = _leaving(links.coop_pairs, i)
+    for k, m in zip(range(out.start, out.stop), links.coop_pairs[1, out].tolist()):
+        helpers = tuple(index[h] for h in links.helpers_of(k))
         groups.setdefault(helpers, []).append(index[m])
     return [
         (helpers, [v for v in targets if is_sink[v]], [v for v in targets if not is_sink[v]])
@@ -369,17 +429,21 @@ def simulate_dynamic(
     round, each routed along the current least-cost path; energies are
     decremented one unit per transmission (helpers included).
 
-    Raises ValueError if the network has no sink or if no sensor emits
-    a packet (every rate rounds to 0).  Returns completed rounds plus
-    the delivered fraction of the failing round.  The loop needs no
-    round cap: each packet's first hop drains its origin by one unit
-    (exactly, for energies below 2**53), and _least_cost_path returns
-    None once the origin's cost term is infinite (below one unit).
-    Two nodes with one id raise ValueError, as in build_links.
+    Raises ValueError if the network has no sink, if no sensor emits
+    a packet (every rate rounds to 0), or if a node starts with 2**53
+    units or more, where one unit is no longer counted exactly (from
+    2**54 on, taking it off changes nothing).  Returns completed rounds plus the delivered fraction of
+    the failing round.  The loop needs no round cap: each packet's
+    first hop drains its origin by exactly one unit, and
+    _least_cost_path returns None once the origin's cost term is
+    infinite (below one unit).  Two nodes with one id raise
+    ValueError, as in build_links.
     """
     _check_ids(nodes)
     if not any(n.is_sink for n in nodes):
         raise ValueError("network has no sink")
+    if any(n.energy >= 2.0**53 for n in nodes):
+        raise ValueError("initial energies must be below 2**53 units, where one unit is counted exactly")
     # Dense indexes in ascending id order: the map is monotone, so the
     # heap order and both tie rules are those of the ids.
     by_id = {n.id: n for n in nodes}
@@ -412,21 +476,26 @@ def simulate_dynamic(
 
 
 def _min_hop_tree(sinks: set[int], links: LinkSet) -> dict[int, int]:
-    """Next hop of every non-sink node that reaches a sink over direct
-    links: its lowest-id direct successor one hop closer to the sink
-    set.  A BFS from the sinks over reversed direct links, one layer at
-    a time in ascending id order, meets each node first from exactly
-    that successor."""
+    """Tree edge of every non-sink node that reaches a sink over direct
+    links, as its column in links.direct_pairs: the link to its
+    lowest-id direct successor one hop closer to the sink set.  A BFS
+    from the sinks over reversed direct links, one layer at a time in
+    ascending id order, meets each node first from exactly that
+    successor."""
+    by_dst = np.lexsort(links.direct_pairs)  # by target, then source
+    dst = links.direct_pairs[1, by_dst]
+    src, by_dst = links.direct_pairs[0, by_dst].tolist(), by_dst.tolist()
     tree: dict[int, int] = {}
     seen, frontier = set(sinks), sorted(sinks)
     while frontier:
         found = []
-        for v in frontier:
-            for i in links.direct_pred.get(v, ()):
-                if i not in seen:
-                    seen.add(i)
-                    tree[i] = v
-                    found.append(i)
+        runs = zip(dst.searchsorted(frontier).tolist(), dst.searchsorted(frontier, "right").tolist())
+        for lo, hi in runs:  # the links into each frontier node
+            for k in range(lo, hi):
+                if src[k] not in seen:
+                    seen.add(src[k])
+                    tree[src[k]] = by_dst[k]
+                    found.append(src[k])
         frontier = sorted(found)
     return tree
 
@@ -439,7 +508,8 @@ def shortest_path_lifetime(nodes: list[SensorNode], links: LinkSet) -> float:
     sinks = {n.id for n in nodes if n.is_sink}
     if not sinks:
         raise ValueError("network has no sink")
-    tree = _min_hop_tree(sinks, links)
+    target = links.direct_pairs[1].tolist()
+    tree = {i: target[k] for i, k in _min_hop_tree(sinks, links).items()}
 
     spend = {n.id: 0.0 for n in nodes}
     for node in nodes:

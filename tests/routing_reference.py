@@ -1,0 +1,101 @@
+"""Link building, lifetime-LP assembly and the crash basis as they stood
+while LinkSet held one Python tuple per link: a frozenset of direct
+links, a dict of coop links and dict-of-tuple adjacency indexes.  The
+code below is kept verbatim, but for its inputs and outputs, as the
+exactness oracle of test_routing.py: build_links must give the same
+links, and solve_lifetime_lp the same LP data and starting basis, bit
+for bit."""
+
+import numpy as np
+
+from wsnlife.lpsolver import StandardLP
+
+
+def _adjacency(pairs) -> dict[int, tuple[int, ...]]:
+    out: dict[int, list[int]] = {}
+    for i, j in pairs:
+        out.setdefault(i, []).append(j)
+    return {i: tuple(sorted(js)) for i, js in out.items()}
+
+
+def reference_build_links(nodes, phy):
+    """build_links' (direct, coop) as a frozenset and a dict."""
+    order = sorted(nodes, key=lambda n: n.id)
+    ids = [n.id for n in order]
+    x, y = np.array([(n.x, n.y) for n in order], dtype=float).T
+    dx, dy = x[:, None] - x, y[:, None] - y
+    dist = np.sqrt(dx * dx + dy * dy)
+    np.fill_diagonal(dist, np.inf)
+    a0 = phy.hop_range()
+    threshold = phy.snr_min * phy.noise / (phy.power * phy.c0)  # on sum of d^-alpha
+    direct = dist <= a0
+
+    is_sink = np.array([n.is_sink for n in order])
+    to_sensor = np.where(is_sink, np.inf, dist)
+    src = np.flatnonzero(~is_sink & (to_sensor.min(axis=1) <= a0))
+    helper = to_sensor.argmin(axis=1)[src]
+    with np.errstate(over="ignore"):
+        power = dist ** -phy.alpha  # 0 on the diagonal
+    reach = (power[src] + power[helper] >= threshold) & ~direct[src]
+    reach[np.arange(len(src)), src] = False  # no link to the source itself
+    i, j = np.nonzero(direct)
+    k, t = np.nonzero(reach)
+    return (
+        frozenset((ids[a], ids[b]) for a, b in zip(i.tolist(), j.tolist())),
+        {
+            (ids[s], ids[m]): (ids[h],)
+            for s, h, m in zip(src[k].tolist(), helper[k].tolist(), t.tolist())
+        },
+    )
+
+
+def reference_min_hop_tree(sinks: set[int], links) -> dict[int, int]:
+    """Next hop of every non-sink node that reaches a sink over direct
+    links, by a BFS over the reversed direct links' adjacency index."""
+    direct_pred = _adjacency((j, i) for i, j in links.direct)
+    tree: dict[int, int] = {}
+    seen, frontier = set(sinks), sorted(sinks)
+    while frontier:
+        found = []
+        for v in frontier:
+            for i in direct_pred.get(v, ()):
+                if i not in seen:
+                    seen.add(i)
+                    tree[i] = v
+                    found.append(i)
+        frontier = sorted(found)
+    return tree
+
+
+def reference_lp_data(nodes, links, with_coop):
+    """The lifetime LP solve_lifetime_lp hands to solve_lp, and its
+    starting basis."""
+    sensors = [n for n in nodes if not n.is_sink]
+    row_of = {n.id: r for r, n in enumerate(sensors)}
+    # (src, dst, helpers) per flow column: direct links, then coop links.
+    flows = [(i, j, ()) for (i, j) in sorted(links.direct) if i in row_of]
+    n_direct = len(flows)
+    if with_coop:
+        flows += [(i, m, h) for (i, m), h in sorted(links.coop.items()) if i in row_of]
+    ns, t_col = len(sensors), len(flows)
+    ends = [(row_of[i], row_of.get(j, -1)) for i, j, _h in flows]  # -1: into a sink
+    src, dst = np.array(ends, dtype=np.intp).reshape(-1, 2).T
+    duty = [(k, ns + row_of[h]) for k, (_i, _j, hs) in enumerate(flows[n_direct:], n_direct) for h in hs]
+    hk, hr = np.array(duty, dtype=np.intp).reshape(-1, 2).T
+    k, r, into = np.arange(t_col), np.arange(ns), dst >= 0
+    rows = np.concatenate([src, ns + src, dst[into], hr, r, ns + r])
+    cols = np.concatenate([k, k, k[into], hk, np.full(ns, t_col), t_col + 1 + r])
+    vals = np.concatenate([
+        np.ones(2 * t_col), -np.ones(into.sum()), np.ones(len(hk)),
+        [-n.rate for n in sensors], np.ones(ns),
+    ])
+    key, at = np.unique(cols * (2 * ns) + rows, return_inverse=True)
+    vals = np.bincount(at.ravel(), vals, len(key))
+    b = np.array([0.0] * ns + [n.energy for n in sensors])
+    c = np.zeros(t_col + 1 + ns)
+    c[t_col] = 1.0
+    lp = StandardLP.from_triplets(key % (2 * ns), key // (2 * ns), vals, (2 * ns, len(c)), b, c)
+    tree = reference_min_hop_tree({n.id for n in nodes if n.is_sink}, links)
+    column = {(i, j): k for k, (i, j, _h) in enumerate(flows[:n_direct])}
+    basis = [column[(n.id, tree[n.id])] if n.id in tree else len(c) + r for r, n in enumerate(sensors)]
+    return lp, basis + list(range(t_col + 1, t_col + 1 + ns))

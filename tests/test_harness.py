@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -386,6 +389,33 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and message in captured.err
         assert captured.err.count("\n") == 1
+
+    def test_simulate_energy_past_2_53_is_an_error(self, tmp_path):
+        # Taking one unit off 2**54 leaves 2**54, so the run would never
+        # end; a subprocess with a timeout makes a regression fail
+        # instead of hang.
+        topo = tmp_path / "topo.json"
+        topo.write_text(json.dumps({"nodes": [
+            {"id": 0, "x": 0, "y": 0, "rate": -1}, {"id": 1, "x": 30, "y": 0, "energy": 2**54},
+        ]}))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "wsnlife.cli", "simulate", "--topology", str(topo)],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and "2**53" in proc.stderr
+        assert proc.stderr.count("\n") == 1
+
+    def test_id_past_64_bits_is_an_error(self, tmp_path, capsys):
+        topo = tmp_path / "topo.json"
+        topo.write_text(json.dumps({"nodes": [
+            {"id": 0, "x": 0, "y": 0, "rate": -1}, {"id": 2**63, "x": 30, "y": 0},
+        ]}))
+        for command in ("lp", "simulate"):
+            assert cli.main([command, "--topology", str(topo)]) == 1
+            assert capsys.readouterr().err == "error: node ids must fit in 64 bits\n"
 
     def test_fractional_rate_lp(self, tmp_path, capsys):
         # rate 0.4 is valid traffic for the LP: one hop, lifetime E / rate.

@@ -1,14 +1,20 @@
 import heapq
+import importlib
 import itertools
 import math
+import sys
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from routing_reference import reference_build_links, reference_lp_data
 
-from wsnlife import routing
+from wsnlife import harness, routing
 from wsnlife.harness import generate_topology
 from wsnlife.lpsolver import LPSolution, SimplexError, StandardLP, solve_lp
 from wsnlife.routing import (
@@ -189,11 +195,17 @@ def scanned_adjacency(pairs):
 class TestLinkIndex:
     @staticmethod
     def assert_matches_scan(links):
-        assert links.direct_succ == scanned_adjacency(links.direct)
-        assert links.coop_succ == scanned_adjacency(links.coop)
-        assert links.direct_pred == scanned_adjacency({(j, i) for (i, j) in links.direct})
-        for i, targets in links.direct_succ.items():
-            assert links.direct_out(i) == targets
+        # the arrays list the links in (src, dst) order, so that each
+        # node's targets are one ascending run
+        direct, coop = links.direct, links.coop
+        assert [tuple(p) for p in links.direct_pairs.T.tolist()] == sorted(direct)
+        assert [tuple(p) for p in links.coop_pairs.T.tolist()] == sorted(coop)
+        assert [links.helpers_of(k) for k in range(len(coop))] == [coop[p] for p in sorted(coop)]
+        succ, coop_succ = scanned_adjacency(direct), scanned_adjacency(coop)
+        for i in {i for pair in direct | coop.keys() for i in pair}:
+            assert links.direct_out(i) == succ.get(i, ())
+            out = routing._leaving(links.coop_pairs, i)
+            assert tuple(links.coop_pairs[1, out].tolist()) == coop_succ.get(i, ())
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -205,7 +217,7 @@ class TestLinkIndex:
     def test_matches_brute_force_scan(self, phy, n, field, seed, keep):
         links = build_links(generate_topology(n, field, seed), phy)
         self.assert_matches_scan(links)
-        # replace() must rebuild the indexes from the new link fields
+        # replace() must rebuild the arrays from the new link fields
         thinned = replace(
             links,
             direct=frozenset(sorted(links.direct)[::keep]),
@@ -216,6 +228,108 @@ class TestLinkIndex:
     def test_node_without_links(self, phy):
         links = build_links(two_node_net(phy, 2.0), phy)
         assert links.direct_out(1) == ()
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.fixture(scope="module")
+def bench_pools():
+    """The node list of every instance in the bench's network and
+    lp_scaling pools at seeds 1-3."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(BENCH))
+    pools = []
+    for seed in (1, 2, 3):
+        pools += [nodes for ladder in workloads.Network(seed).pool for nodes in ladder]
+        pools += [nodes for ladder in workloads.LpScaling(seed).pool for nodes, _links in ladder]
+    return pools
+
+
+def golden_topologies():
+    return [harness.load_topology(str(path)) for path in sorted(GOLDEN.glob("topo*.json"))]
+
+
+def random_hand_built(rng, ids):
+    """Direct links at random, self-links included, and coop links
+    under helper tuples of length 1-3 drawn from all ids, so that a
+    helper can be the source or the target."""
+    direct = {(int(i), int(j)) for i in ids for j in ids if rng.random() < 0.3}
+    coop = {
+        (int(i), int(j)): tuple(int(h) for h in rng.choice(ids, int(rng.integers(1, 4)), replace=False))
+        for i in ids for j in ids if rng.random() < 0.2
+    }
+    return direct, coop
+
+
+class TestLinkSet:
+    def test_readback_equals_input(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            n = int(rng.integers(1, 12))
+            ids = rng.choice(np.arange(-40, 40), n, replace=False)
+            direct, coop = random_hand_built(rng, ids)
+            links = LinkSet(direct=frozenset(direct), coop=coop)
+            assert type(links.direct) is frozenset and links.direct == direct
+            assert type(links.coop) is dict and links.coop == coop
+            assert all(type(i) is int for pair in links.direct for i in pair)
+            assert all(type(h) is int for hs in links.coop.values() for h in hs)
+
+    def test_build_links_matches_parent_on_bench_pools(self, phy, bench_pools):
+        for nodes in bench_pools:
+            links = build_links(nodes, phy)
+            direct, coop = reference_build_links(nodes, phy)
+            assert links.direct == direct and links.coop == coop
+
+    def test_equal_across_construction_paths(self, phy, snapshot_nodes):
+        links = build_links(snapshot_nodes, phy)
+        by_hand = LinkSet(direct=frozenset(sorted(links.direct, reverse=True)), coop=dict(links.coop))
+        # a far-away node adds no link, and the node order does not matter
+        far = SensorNode(id=99, x=1e6, y=0.0)
+        other = build_links([far, *reversed(snapshot_nodes)], phy)
+        for twin in (by_hand, other, replace(links)):
+            assert (links == twin) is True and (links != twin) is False
+        thinned = replace(links, direct=links.direct - {min(links.direct)})
+        assert (links == thinned) is False and (links != thinned) is True
+        assert links != (links.direct, links.coop)
+        assert LinkSet(direct=frozenset(), coop={}) == LinkSet(direct=set(), coop={})
+
+    def test_replace_as_the_bench_selftest_calls_it(self, phy, snapshot_nodes):
+        links = build_links(snapshot_nodes, phy)
+        direct, coop = links.direct, links.coop
+        dropped = replace(links, direct=links.direct - {min(links.direct)})
+        assert dropped.direct == direct - {min(direct)} and dropped.coop == coop
+        extra = replace(links, coop={**links.coop, min(links.direct): (0,)})
+        assert extra.direct == direct and extra.coop == {**coop, min(direct): (0,)}
+
+    def test_direct_out_is_ascending_successors(self):
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            ids = rng.choice(np.arange(-20, 20), 8, replace=False)
+            direct, coop = random_hand_built(rng, ids)
+            links = LinkSet(direct=frozenset(direct), coop=coop)
+            for i in range(-21, 21):
+                assert links.direct_out(i) == tuple(sorted(j for (a, j) in direct if a == i))
+
+    def test_holds_arrays_only(self, phy):
+        # 100 nodes at the lp_scaling density: 2,496 direct and 897 coop
+        # links.  One Python tuple per link in a frozenset, a dict and
+        # three dict indexes kept 299 KB; the arrays keep 70 KB.
+        nodes = connected_topology(phy, 100, 1)[0]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            links = build_links(nodes, phy)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert (len(links.direct), len(links.coop)) == (2496, 897)
+        assert kept <= 100_000, kept
+        assert all(isinstance(v, np.ndarray) for v in vars(links).values())
 
 
 def reference_lp_matrix(nodes, links, with_coop):
@@ -518,13 +632,85 @@ class TestSparseAssembly:
         assert sol == expected
 
 
+class _Caught(Exception):
+    """Carries the LP and basis that solve_lifetime_lp hands to solve_lp."""
+
+
+def assert_same_lp_data(monkeypatch, nodes, links, with_coop):
+    """solve_lifetime_lp hands solve_lp the LP data and starting basis
+    of routing_reference.reference_lp_data, bit for bit.  Returns the
+    number of artificials in the basis."""
+
+    def catch(lp, basis=None):
+        raise _Caught(lp, basis)
+
+    monkeypatch.setattr(routing, "solve_lp", catch)
+    with pytest.raises(_Caught) as caught:
+        solve_lifetime_lp(nodes, links, with_coop=with_coop)
+    lp, basis = caught.value.args
+    ref, ref_basis = reference_lp_data(nodes, links, with_coop)
+    for name in ("rows", "cols", "vals", "b", "c"):
+        got, want = getattr(lp, name), getattr(ref, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
+    assert basis == ref_basis and all(type(j) is int for j in basis)
+    return sum(j >= lp.shape[1] for j in basis)
+
+
+class TestLpDataAgainstReference:
+    @pytest.mark.parametrize("with_coop", [False, True])
+    def test_random_topologies(self, phy, monkeypatch, with_coop):
+        # fractional rates and energies, silent sensors, a second sink
+        # now and then, shuffled node order, and fields wide enough to
+        # leave sensors off the min-hop tree
+        rng = np.random.default_rng(21)
+        off_tree = 0
+        for _ in range(40):
+            n = int(rng.integers(3, 40))
+            nodes = generate_topology(n, float(rng.uniform(30.0, 250.0)), int(rng.integers(2**31)))
+            nodes = [v if v.is_sink else replace(
+                v, rate=float(rng.choice([-1.0, 0.0, 0.4, 1.0, 2.5])) if k > 1 else 1.5,
+                energy=float(rng.uniform(0.5, 5.0))) for k, v in enumerate(nodes)]
+            nodes = [nodes[k] for k in rng.permutation(n)]
+            off_tree += assert_same_lp_data(monkeypatch, nodes, build_links(nodes, phy), with_coop)
+        assert off_tree > 0
+
+    def test_hand_built_links(self, monkeypatch, snapshot_nodes):
+        # self-links, direct and coop links on one pair, helper tuples
+        # of length 1-3 with the source or the target among the
+        # helpers, and links to and from ids of no node
+        rng = np.random.default_rng(22)
+        sensors = [v.id for v in snapshot_nodes if not v.is_sink]
+        ids = [v.id for v in snapshot_nodes] + [7, 8]
+        for _ in range(40):
+            direct = {(i, j) for i in ids for j in ids if rng.random() < 0.3}
+            coop = {
+                (i, j): tuple(int(h) for h in rng.choice(sensors, int(rng.integers(1, 4)), replace=False))
+                for i in ids for j in ids if rng.random() < 0.2
+            }
+            nodes = [v if v.is_sink else replace(v, rate=float(rng.choice([0.0, 0.5, 1.0, 3.0])))
+                     for v in snapshot_nodes]
+            nodes[1] = replace(nodes[1], rate=1.0)
+            links = LinkSet(direct=frozenset(direct), coop=coop)
+            for with_coop in (False, True):
+                assert_same_lp_data(monkeypatch, nodes, links, with_coop)
+
+    def test_bench_pools_and_golden_topologies(self, phy, monkeypatch, bench_pools):
+        for nodes in bench_pools + golden_topologies():
+            links = build_links(nodes, phy)
+            for with_coop in (False, True):
+                assert_same_lp_data(monkeypatch, nodes, links, with_coop)
+
+
 class TestCrashBasis:
     @pytest.mark.parametrize("seed", range(6))
     def test_min_hop_tree_matches_rule(self, phy, seed):
         nodes = generate_topology(25, 120.0, seed)
         links = build_links(nodes, phy)
         sinks = {n.id for n in nodes if n.is_sink}
-        assert routing._min_hop_tree(sinks, links) == reference_min_hop_next(nodes, links)
+        tree = routing._min_hop_tree(sinks, links)  # node -> column of its tree edge
+        src, dst = links.direct_pairs.tolist()
+        assert all(src[k] == i for i, k in tree.items())
+        assert {i: dst[k] for i, k in tree.items()} == reference_min_hop_next(nodes, links)
 
     @pytest.mark.parametrize("with_coop", [False, True])
     @pytest.mark.parametrize("n, seed", [(10, 1), (20, 2), (30, 3), (45, 4), (60, 5)])
@@ -627,7 +813,7 @@ def reference_least_cost_path(src, sinks, links, params, initial, remaining):
                 v = pred[v][0]
             return path[::-1]
         edges = [(v, False) for v in links.direct_out(u)]
-        edges += [(m, True) for m in links.coop_succ.get(u, ())]
+        edges += [(m, True) for (i, m) in sorted(links.coop) if i == u]
         for v, is_coop in edges:
             w = reference_link_cost(u, v, links, params, initial, remaining)
             if not math.isfinite(w):
@@ -646,6 +832,9 @@ def reference_simulate(nodes, links, params=CostParams()):
     """The round-based heuristic with every link cost recomputed from
     the remaining energies on each relaxation; each sensor emits
     round(rate) packets a round."""
+    # Read the links back once: the oracle looks them up on every
+    # relaxation, and each LinkSet readback builds a new set and dict.
+    links = SimpleNamespace(direct=links.direct, coop=links.coop, direct_out=links.direct_out)
     sinks = {n.id for n in nodes if n.is_sink}
     initial = {n.id: n.energy for n in nodes}
     remaining = dict(initial)
@@ -751,8 +940,9 @@ def unsplit_weight_groups(
     direct targets under (), then each helper tuple's coop targets,
     every group in ascending target order."""
     groups = {(): [index[v] for v in links.direct_out(i)]}
-    for m in links.coop_succ.get(i, ()):
-        helpers = tuple(index[h] for h in links.coop[(i, m)])
+    coop = links.coop
+    for m in sorted(m for (a, m) in coop if a == i):
+        helpers = tuple(index[h] for h in coop[(i, m)])
         groups.setdefault(helpers, []).append(index[m])
     return [(helpers, targets) for helpers, targets in groups.items() if targets]
 
