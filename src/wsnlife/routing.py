@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections.abc import Mapping, Set
 from dataclasses import InitVar, dataclass, field, fields
 
 import numpy as np
@@ -62,8 +63,9 @@ class LinkSet:
     helper tuple, held as integer arrays sorted by (src, dst).
 
     direct and coop are the constructor's arguments.  Reading them
-    back builds a frozenset and a dict anew on each access, so that no
-    Python object per link outlives a call.  direct_pairs and
+    back gives a read-only Set and Mapping view over the arrays, equal
+    to the frozenset and dict passed in, so that no Python object per
+    link is kept.  direct_pairs and
     coop_pairs hold sources in row 0 and targets in row 1; coop link
     k's helpers are helpers[helper_start[k]:helper_start[k + 1]].
     Two link sets are equal when their links are.
@@ -95,21 +97,17 @@ class LinkSet:
         return cls.__new__(cls)._store(*arrays)
 
     def _store(self, *arrays) -> LinkSet:
-        for f, a in zip(fields(self), arrays):
+        for f, a in zip(fields(self), arrays, strict=True):
             object.__setattr__(self, f.name, np.asarray(a, dtype=np.int64))
         return self
 
     @property
-    def direct(self) -> frozenset[tuple[int, int]]:
-        return frozenset(zip(*self.direct_pairs.tolist()))
+    def direct(self) -> Set[tuple[int, int]]:
+        return _DirectView(self, self.direct_pairs)
 
     @property
-    def coop(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        start, flat = self.helper_start.tolist(), self.helpers.tolist()
-        # zip(flat) makes the 1-tuples of build_links' links fastest
-        one_each = start == list(range(len(start)))
-        tuples = zip(flat) if one_each else (tuple(flat[a:b]) for a, b in zip(start, start[1:]))
-        return dict(zip(zip(*self.coop_pairs.tolist()), tuples))
+    def coop(self) -> Mapping[tuple[int, int], tuple[int, ...]]:
+        return _CoopView(self, self.coop_pairs)
 
     def __eq__(self, other):
         if not isinstance(other, LinkSet):
@@ -123,6 +121,64 @@ class LinkSet:
     def helpers_of(self, k: int) -> tuple[int, ...]:
         """The helper tuple of coop link k (column k of coop_pairs)."""
         return tuple(self.helpers[self.helper_start[k]:self.helper_start[k + 1]].tolist())
+
+
+class _PairView:
+    """A read-only view of one of a LinkSet's (src, dst) pair arrays."""
+
+    __slots__ = ("_links", "_pairs")
+
+    def __init__(self, links: LinkSet, pairs: np.ndarray):
+        self._links, self._pairs = links, pairs
+
+    def __len__(self):
+        return self._pairs.shape[1]
+
+    def __iter__(self):
+        return zip(*self._pairs.tolist())
+
+
+class _DirectView(_PairView, Set):
+    """Direct links; set operations with other sets give frozensets."""
+
+    __slots__ = ()
+
+    def __contains__(self, pair):
+        return _column(self._pairs, pair) is not None
+
+    @classmethod
+    def _from_iterable(cls, it):
+        return frozenset(it)
+
+    def __repr__(self):
+        return repr(frozenset(self))
+
+
+class _CoopView(_PairView, Mapping):
+    """Coop links, (src, dst) -> helper tuple."""
+
+    __slots__ = ()
+
+    def __getitem__(self, pair):
+        k = _column(self._pairs, pair)
+        if k is None:
+            raise KeyError(pair)
+        return self._links.helpers_of(k)
+
+    def __repr__(self):
+        return repr(dict(self))
+
+
+def _column(pairs: np.ndarray, pair) -> int | None:
+    """The column of pairs, sorted by (src, dst), that holds pair, or
+    None if none does."""
+    try:
+        src, dst = pair
+        run = _leaving(pairs, src)
+        k = run.start + int(pairs[1, run].searchsorted(dst))
+    except (TypeError, ValueError, OverflowError):  # not a pair of int64 ids
+        return None
+    return k if k < run.stop and pairs[1, k] == dst else None
 
 
 def _pair_array(pairs: list[tuple[int, int]]) -> np.ndarray:
@@ -412,9 +468,10 @@ def _weight_groups(
     ascending target order."""
     groups = {(): [index[v] for v in links.direct_out(i)]}
     out = _leaving(links.coop_pairs, i)
-    for k, m in zip(range(out.start, out.stop), links.coop_pairs[1, out].tolist()):
-        helpers = tuple(index[h] for h in links.helpers_of(k))
-        groups.setdefault(helpers, []).append(index[m])
+    start = links.helper_start[out.start:out.stop + 1].tolist()
+    flat = [index[h] for h in links.helpers[start[0]:start[-1]].tolist()]
+    for m, a, b in zip(links.coop_pairs[1, out].tolist(), start, start[1:]):
+        groups.setdefault(tuple(flat[a - start[0]:b - start[0]]), []).append(index[m])
     return [
         (helpers, [v for v in targets if is_sink[v]], [v for v in targets if not is_sink[v]])
         for helpers, targets in groups.items()

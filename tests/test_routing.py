@@ -274,10 +274,52 @@ class TestLinkSet:
             ids = rng.choice(np.arange(-40, 40), n, replace=False)
             direct, coop = random_hand_built(rng, ids)
             links = LinkSet(direct=frozenset(direct), coop=coop)
-            assert type(links.direct) is frozenset and links.direct == direct
-            assert type(links.coop) is dict and links.coop == coop
+            assert links.direct == direct and direct == links.direct
+            assert links.coop == coop and coop == links.coop
+            assert len(links.direct) == len(direct) and len(links.coop) == len(coop)
+            assert sorted(links.direct) == sorted(direct) and sorted(links.coop) == sorted(coop)
+            assert all(pair in links.direct for pair in direct) and all(links.coop[p] == coop[p] for p in coop)
+            for pair in itertools.product(range(-41, 41, 3), repeat=2):
+                assert (pair in links.direct) == (pair in direct)
+                assert links.coop.get(pair) == coop.get(pair)
             assert all(type(i) is int for pair in links.direct for i in pair)
             assert all(type(h) is int for hs in links.coop.values() for h in hs)
+
+    def test_views_act_as_frozenset_and_dict(self, phy, snapshot_nodes):
+        links = build_links(snapshot_nodes, phy)
+        direct, coop = frozenset(links.direct), dict(links.coop)
+        first = min(direct)
+        for got, want in [
+            (links.direct - {first}, direct - {first}),
+            (links.direct | {(99, 99)}, direct | {(99, 99)}),
+            (links.direct & {first, (99, 99)}, {first}),
+        ]:
+            assert type(got) is frozenset and got == want
+        assert {**links.coop, first: (0,)} == {**coop, first: (0,)}
+        assert dict(links.coop.items()) == coop and set(links.coop.keys()) == coop.keys()
+        assert repr(links.direct) == repr(direct) and repr(links.coop) == repr(coop)
+        for absent in [(99, 99), (first[0], 99), (2**70, 0), (0, 2**70), (1, 2, 3), "ab", 5, None]:
+            assert absent not in links.direct and absent not in links.coop
+        with pytest.raises(KeyError):
+            links.coop[(99, 99)]
+
+    def test_views_keep_nothing_per_link(self, phy):
+        links = build_links(connected_topology(phy, 100, 1)[0], phy)
+        pair = min(links.coop)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            views = links.direct, links.coop
+            sizes = len(links.direct), len(links.coop), pair in links.direct, links.coop[pair]
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert sizes[:2] == (2496, 897) and views
+        assert kept <= 1_000, kept
+
+    def test_arrays_must_match_fields(self):
+        with pytest.raises(ValueError):
+            LinkSet._of_arrays(np.zeros((2, 0)), np.zeros((2, 0)), np.zeros(1))
 
     def test_build_links_matches_parent_on_bench_pools(self, phy, bench_pools):
         for nodes in bench_pools:
@@ -832,9 +874,9 @@ def reference_simulate(nodes, links, params=CostParams()):
     """The round-based heuristic with every link cost recomputed from
     the remaining energies on each relaxation; each sensor emits
     round(rate) packets a round."""
-    # Read the links back once: the oracle looks them up on every
-    # relaxation, and each LinkSet readback builds a new set and dict.
-    links = SimpleNamespace(direct=links.direct, coop=links.coop, direct_out=links.direct_out)
+    # Copy the links into a frozenset and a dict once: the oracle looks
+    # them up on every relaxation, and a LinkSet view searches arrays.
+    links = SimpleNamespace(direct=frozenset(links.direct), coop=dict(links.coop), direct_out=links.direct_out)
     sinks = {n.id for n in nodes if n.is_sink}
     initial = {n.id: n.energy for n in nodes}
     remaining = dict(initial)
