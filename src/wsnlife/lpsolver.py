@@ -8,14 +8,19 @@ basis inverse is kept explicitly (dense, one rank-1 update per pivot,
 in place through one scratch array per phase); A is read only through
 its nonzeros, pricing from a table of each column's first four
 entries, and the ratio test scans only the rows whose ratio lies near
-the least one.  So a pivot costs O(n + nnz(A) + m^2) in a set number
-of numpy calls plus a Python loop over the near rows, and the pivots
-and bits are those of a scan over every row with np.bincount pricing.
-Dantzig pricing with a permanent switch
-to Bland's rule once a degeneracy streak is detected, so termination
-is guaranteed and pivots are deterministic.  An optimal basis that
-does not solve the original system to 1e-9 (relative to the largest
-|b|) raises SimplexError.
+the least one, yet picks the row a scan over every row picks.
+
+Steepest-edge pricing (Goldfarb and Reid, Math. Programming 12, 1977;
+Forrest and Goldfarb, Math. Programming 57, 1992): the entering column
+has the largest d_j^2 / gamma_j among the improving columns, where
+gamma_j = 1 + |B^-1 a_j|^2.  Each phase computes gamma once and then
+updates it and the reduced costs d from each pivot row, and prices d
+afresh before it reports an optimum or an unbounded ray.  So a pivot
+costs O(n + nnz(A) + m^2) in a set number of numpy calls plus a Python
+loop over the near rows.  A permanent switch to Bland's rule once a
+degeneracy streak is detected guarantees termination, and pivots are
+deterministic.  An optimal basis that does not solve the original
+system to 1e-9 (relative to the largest |b|) raises SimplexError.
 """
 
 from __future__ import annotations
@@ -28,6 +33,9 @@ import numpy as np
 __all__ = ["StandardLP", "LPSolution", "solve_lp", "SimplexError"]
 
 _PIVOT_TOL = 1e-9
+# A run of more than _BLAND_STREAK * (rows + priced columns) degenerate
+# pivots switches pricing to Bland's rule for the rest of the phase.
+_BLAND_STREAK = 2
 
 
 class SimplexError(RuntimeError):
@@ -118,6 +126,11 @@ class LPSolution:
     phase1_pivots: int = 0  # includes pivots driving artificials out
     phase2_pivots: int = 0
     bland: bool = False  # Bland's rule switched on in either phase
+    # The final basis, as column ids (n + k is row k's artificial), and
+    # the rows of A it covers, all but those phase 1 dropped as
+    # redundant: x[basis] solves A[basis_rows][:, basis] x_B = b[basis_rows].
+    basis: np.ndarray | None = None
+    basis_rows: np.ndarray | None = None
 
 
 class _Columns:
@@ -159,6 +172,21 @@ class _Columns:
         z[self.long] = np.bincount(self.long_at, y[self.long_rows] * self.long_vals, len(self.long))
         return z
 
+    def weights(self, binv: np.ndarray) -> np.ndarray:
+        """1 + |B^-1 a_j|^2 over the structural columns, as 1 + a_j^T M
+        a_j with M = B^-T B^-1: the head table's 4 x 4 products of
+        entries, then each long column's quadratic form in full."""
+        gram = _gram(binv)
+        hr, hv = self.head_rows, self.head_vals
+        w = np.ones(self.n)
+        for k in range(4):
+            w += (hv[k] * hv * gram[hr[k], hr]).sum(axis=0)
+        bounds = np.searchsorted(self.long_at, np.arange(len(self.long) + 1))
+        for j, s, e in zip(self.long.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
+            r, v = self.long_rows[s:e], self.long_vals[s:e]
+            w[j] = 1.0 + np.einsum("i,ij,j->", v, gram[r[:, None], r], v)
+        return w
+
     def column(self, binv: np.ndarray, j: int) -> np.ndarray:
         """B^-1 times column j."""
         if j >= self.n:
@@ -176,6 +204,25 @@ class _Columns:
                 s, e = self.starts[j], self.starts[j + 1]
                 bmat[self.rows[s:e], k] = self.vals[s:e]
         return bmat
+
+
+def _gram(binv: np.ndarray) -> np.ndarray:
+    """M = B^-T B^-1 from B^-1, elementwise, as the sum over the rows of
+    B^-1 of their outer products.  While B^-1 is sparse, as at the
+    lifetime LP's crash basis, np.bincount sums the products of each
+    pair of nonzeros within a row; past 4 m^2 pairs (a dense B^-1 has
+    m^3) np.einsum sums them without holding them."""
+    m = len(binv)
+    k, i = binv.nonzero()  # row-major, so each row's entries are adjacent
+    count = np.bincount(k, minlength=m)[k]  # entries in each entry's row
+    if count.sum() > 4 * m * m:
+        return np.einsum("ki,kj->ij", binv, binv)
+    v = binv[k, i]
+    # pair p = (first[p], second[p]): each entry with every entry of its row
+    first = np.repeat(np.arange(len(k)), count)
+    start = np.repeat(np.searchsorted(k, k), count)  # the row's first entry
+    second = start + np.arange(len(first)) - np.repeat(np.cumsum(count) - count, count)
+    return np.bincount(i[first] * m + i[second], v[first] * v[second], m * m).reshape(m, m)
 
 
 def _leaving_row(alpha: np.ndarray, x_b: np.ndarray, basis: np.ndarray) -> int:
@@ -234,26 +281,58 @@ def _exchange(binv, x_b, basis, alpha, scratch, row, col) -> float:
 def _iterate(a: _Columns, cost, binv, x_b, basis, max_iters):
     """Pivot until optimal or unbounded over the len(cost) priceable
     columns, the artificials after the n structural ones if len(cost)
-    > n; returns (status, pivots, bland)."""
-    streak_limit = 2 * (len(basis) + len(cost))
-    bland, degenerate_streak = False, 0
+    > n; returns (status, pivots, bland).  Steepest-edge pricing, with
+    gamma and d updated by the Goldfarb-Reid recurrences."""
+    priced_art = len(cost) > a.n
+    streak_limit = _BLAND_STREAK * (len(basis) + len(cost))
+    bland, degenerate_streak, pivots = False, 0, 0
     scratch = np.empty_like(binv)
-    for pivots in range(max_iters):
+
+    def over_priced(v):  # v A over the priced columns
+        return np.concatenate([a.price(v), v]) if priced_art else a.price(v)
+
+    def reduced_costs():
         c_b = cost[basis]
         priced = c_b.nonzero()[0]  # y = c_B B^-1 over the rows with a cost
-        y = (c_b[priced, None] * binv[priced]).sum(axis=0)
-        d = cost - (a.price(y) if len(cost) == a.n else np.concatenate([a.price(y), y]))
-        # Bland: first improving column; Dantzig: largest d, first on ties.
-        col = int(np.argmax(d > _PIVOT_TOL) if bland else np.argmax(d))
-        if not d[col] > _PIVOT_TOL:
-            if not np.isfinite(d).all():  # argmax stops at the first NaN
+        return cost - over_priced((c_b[priced, None] * binv[priced]).sum(axis=0))
+
+    gamma = a.weights(binv)
+    if priced_art:  # artificial k: 1 + |column k of B^-1|^2
+        gamma = np.concatenate([gamma, 1.0 + np.einsum("ki,ki->i", binv, binv)])
+    d, fresh = reduced_costs(), True
+    while pivots < max_iters:
+        if bland:  # first improving column
+            col = int(np.argmax(d > _PIVOT_TOL))
+        else:  # largest d_j^2 / gamma_j over the improving columns, first on ties
+            col = int(np.argmax(np.where(d > _PIVOT_TOL, d * d / gamma, -1.0)))
+        improving = d[col] > _PIVOT_TOL
+        if improving:
+            alpha = a.column(binv, col)
+            row = _leaving_row(alpha, x_b, basis)
+        if not improving or row < 0:
+            if not fresh:  # decide on reduced costs priced afresh
+                d, fresh = reduced_costs(), True
+                continue
+            if improving:
+                return "unbounded", pivots, bland
+            if not np.isfinite(d).all():  # a NaN d_j is never improving
                 raise SimplexError("reduced costs are not finite")
             return "optimal", pivots, bland
-        alpha = a.column(binv, col)
-        row = _leaving_row(alpha, x_b, basis)
-        if row < 0:
-            return "unbounded", pivots, bland
+        # With rho the pivot row (B^-1 A)[row] / alpha[row] and tau =
+        # B^-T alpha: gamma_j += rho_j (rho_j gamma_q - 2 a_j.tau), at
+        # least 1 + rho_j^2, and d_j -= d_q rho_j; the leaving column
+        # gets gamma_q / alpha[row]^2, at least 1.
+        rho = over_priced(binv[row])
+        rho /= alpha[row]
+        a_tau = over_priced(np.einsum("k,ki->i", alpha, binv))
+        gamma_q = 1.0 + float((alpha * alpha).sum())
+        gamma += rho * (rho * gamma_q - 2.0 * a_tau)
+        np.maximum(gamma, 1.0 + rho * rho, out=gamma)
+        gamma[basis[row]] = max(gamma_q / (alpha[row] * alpha[row]), 1.0)
+        d -= d[col] * rho
+        d[col], fresh = 0.0, False
         theta = _exchange(binv, x_b, basis, alpha, scratch, row, col)
+        pivots += 1
         degenerate_streak = degenerate_streak + 1 if theta <= 1e-12 else 0
         bland = bland or degenerate_streak > streak_limit
     raise SimplexError(f"simplex did not terminate within {max_iters} pivots")
@@ -292,19 +371,19 @@ def solve_lp(lp: StandardLP, basis=None) -> LPSolution:
         raise ValueError(f"starting basis is singular (condition number {cond:.3g})")
     if x_b.min(initial=0.0) < -1e-9 * (1.0 + b.max(initial=0.0)):
         raise ValueError("starting basis is infeasible: B^-1 b has a negative entry")
-    pivots1, bland1 = 0, False
+    pivots1, bland1, keep = 0, False, np.ones(m, dtype=bool)
     if (basis >= n).any():
         cost = np.concatenate([np.zeros(n), -np.ones(m)])
         status, pivots1, bland1 = _iterate(a, cost, binv, x_b, basis, max_iters)
         if status != "optimal":
             raise SimplexError("phase 1 reported unbounded (internal bug)")
         if x_b[basis >= n].sum() > 1e-7 * (1.0 + b.max(initial=0.0)):
-            return LPSolution(np.zeros(n), float("nan"), "infeasible", pivots1, 0, bland1)
+            return LPSolution(np.zeros(n), float("nan"), "infeasible", pivots1, 0, bland1, basis, np.arange(m))
 
         # Drive remaining artificials out of the basis or drop their rows.
         # An artificial e_k left basic at position i makes row i of B^-1 A a
         # dependency with weight 1 on constraint k, so constraint k goes.
-        keep, scratch = np.ones(m, dtype=bool), np.empty_like(binv)
+        scratch = np.empty_like(binv)
         for i in np.flatnonzero(basis >= n).tolist():
             big = np.flatnonzero(np.abs(a.price(binv[i])) > _PIVOT_TOL)
             if big.size:
@@ -318,7 +397,10 @@ def solve_lp(lp: StandardLP, basis=None) -> LPSolution:
             basis, b = basis[basis < n], b[keep]
             _bmat, binv, x_b = _factor(a, basis, b)
     status, pivots2, bland2 = _iterate(a, lp.c, binv, x_b, basis, max_iters)
-    counters = dict(phase1_pivots=pivots1, phase2_pivots=pivots2, bland=bland1 or bland2)
+    counters = dict(
+        phase1_pivots=pivots1, phase2_pivots=pivots2, bland=bland1 or bland2,
+        basis=basis, basis_rows=np.flatnonzero(keep),
+    )
     if status == "unbounded":
         return LPSolution(x=np.zeros(n), objective=float("inf"), status="unbounded", **counters)
 

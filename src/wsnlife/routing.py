@@ -311,13 +311,19 @@ def solve_lifetime_lp(
     k, r, into = np.arange(t_col), np.arange(ns), dst >= 0
     rows = np.concatenate([src, ns + src, dst[into], hr, r, ns + r])
     cols = np.concatenate([k, k, k[into], hk, np.full(ns, t_col), t_col + 1 + r])
+    # Solve in units where the largest energy and the largest rate lie
+    # in [0.5, 1).  Scaling by powers of two is exact, so scaling every
+    # energy by 2^k scales T and the flows by exactly 2^k, and the
+    # solver's tolerances act at unit scale.
+    e_exp = math.frexp(max(n.energy for n in sensors))[1]
+    r_exp = math.frexp(max(n.rate for n in sensors))[1]
     vals = np.concatenate([
         np.ones(2 * t_col), -np.ones(into.sum()), np.ones(len(hk)),
-        [-n.rate for n in sensors], np.ones(ns),
+        [-math.ldexp(n.rate, -r_exp) for n in sensors], np.ones(ns),
     ])
     key, at = np.unique(cols * (2 * ns) + rows, return_inverse=True)
     vals = np.bincount(at.ravel(), vals, len(key))
-    b = np.array([0.0] * ns + [n.energy for n in sensors])
+    b = np.array([0.0] * ns + [math.ldexp(n.energy, -e_exp) for n in sensors])
     c = np.zeros(t_col + 1 + ns)
     c[t_col] = 1.0
     lp = StandardLP.from_triplets(key % (2 * ns), key // (2 * ns), vals, (2 * ns, len(c)), b, c)
@@ -333,19 +339,20 @@ def solve_lifetime_lp(
     if sol.status != "optimal":
         raise SimplexError(f"lifetime LP reported {sol.status} (internal bug)")
 
+    flows = np.ldexp(sol.x[:t_col], e_exp)  # back in energy units
     qhat: dict[tuple[int, int, bool], float] = {}
     energy_used = {n.id: 0.0 for n in nodes}
     coop_links = np.flatnonzero(coop_col).tolist()
-    for k in np.flatnonzero(sol.x[:t_col] > 0.0).tolist():
+    for k in np.flatnonzero(flows > 0.0).tolist():
         i, j = pairs[:, k].tolist()
-        q = float(sol.x[k])
+        q = float(flows[k])
         qhat[(i, j, k >= n_direct)] = q
         energy_used[i] += q
         for h in links.helpers_of(coop_links[k - n_direct]) if k >= n_direct else ():
             energy_used[h] += q
     return FlowSolution(
         qhat=qhat,
-        lifetime=float(sol.x[t_col]),
+        lifetime=math.ldexp(float(sol.x[t_col]), e_exp - r_exp),
         energy_used=energy_used,
     )
 

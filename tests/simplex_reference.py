@@ -1,8 +1,10 @@
 """The revised simplex as it stood before its pivot was vectorised: a
 Python ratio scan over every candidate row, np.bincount pricing with the
 artificial block appended, and np.outer for the rank-1 update.  The code
-below is kept verbatim as the exactness oracle of test_lpsolver.py:
-the solver must take the same pivots and return the same bits."""
+below is kept verbatim as an oracle of test_lpsolver.py: the ratio
+test and pricing must return the same rows and bits, and a whole solve,
+priced by Dantzig's rule here and by steepest edge in the solver, the
+same status and objective to 1e-12, in no more pivots on lifetime LPs."""
 
 import numpy as np
 

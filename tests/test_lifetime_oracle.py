@@ -2,13 +2,15 @@
 earlier dense-tableau simplex could not solve."""
 
 import math
+import pathlib
 import time
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from wsnlife.harness import generate_topology
+from wsnlife.harness import generate_topology, load_topology
 from wsnlife.routing import NoRouteError, build_links, shortest_path_lifetime, solve_lifetime_lp
 
 
@@ -121,3 +123,43 @@ def test_n150_instances_solve(phy, subseed, reference):
     assert time.process_time() - start < 1.0
     assert sol.lifetime == pytest.approx(reference, rel=1e-7)
     assert_feasible_flows(nodes, links, sol)
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# solve_lifetime_lp solves in units where the largest energy lies in
+# [0.5, 1), so scaling every battery by 2^k, for each k here, scales
+# the lifetime, every flow and every node's energy use by exactly 2^k.
+ENERGY_EXPONENTS = (-60, -46, -40, -21, -1, 1, 3, 10, 40, 60)
+
+
+@pytest.mark.parametrize("with_coop", [False, True])
+def test_energy_scaling_is_exact(phy, with_coop):
+    rng = np.random.default_rng(46)
+    nets = [load_topology(str(GOLDEN / name)) for name in ("topo12.json", "topo12c.json", "topo14.json")]
+    for seed in range(3):  # fractional energies over two decades
+        nodes = generate_topology(20, 100.0 * math.sqrt(20 / 30.0), 4600 + seed)
+        nets.append([replace(v, energy=float(rng.uniform(0.1, 10.0))) for v in nodes])
+    for nodes in nets:
+        links = build_links(nodes, phy)
+        base = solve_lifetime_lp(nodes, links, with_coop=with_coop)
+        for k in ENERGY_EXPONENTS:
+            scaled = [replace(v, energy=math.ldexp(v.energy, k)) for v in nodes]
+            sol = solve_lifetime_lp(scaled, links, with_coop=with_coop)
+            assert sol.lifetime == math.ldexp(base.lifetime, k), k
+            assert sol.qhat == {key: math.ldexp(q, k) for key, q in base.qhat.items()}, k
+            assert sol.energy_used == {i: math.ldexp(e, k) for i, e in base.energy_used.items()}, k
+
+
+def test_tiny_batteries_keep_their_lifetime(phy):
+    # topo12's lifetime is exactly 100/3 at 40 units a battery (a
+    # rational certificate of its LP gives 25/24 in solver units); at
+    # 40 * 2^-46 units it is 100/3 * 2^-46, about 4.74e-13, and not the
+    # 0 that absolute tolerances at the data's own scale once gave
+    nodes = [v if v.is_sink else replace(v, energy=math.ldexp(40.0, -46))
+             for v in load_topology(str(GOLDEN / "topo12.json"))]
+    links = build_links(nodes, phy)
+    for with_coop in (False, True):
+        sol = solve_lifetime_lp(nodes, links, with_coop=with_coop)
+        assert sol.lifetime == float(Fraction(100, 3) / 2**46)
+        assert_feasible_flows(nodes, links, sol, tol=1e-24)

@@ -1,6 +1,6 @@
 import itertools
-
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -158,17 +158,35 @@ class TestSolveLp:
             assert sol.objective == pytest.approx(solve_lp(lp).objective, abs=1e-9), trial
 
     def test_redundant_row_dropped_is_the_dependent_one(self):
-        # Rows 1 and 2 are equal.  Phase 1 ends with row 1's artificial
-        # basic at basis position 4; dropping constraint 4 (the bound)
-        # instead of row 1 would leave a singular basis.
+        # Rows 1 and 2 are equal.  Started with row 2's artificial (id
+        # 4 + 2) at basis position 4 and row 4's at position 2, phase 1
+        # ends with row 2's artificial still basic at position 4;
+        # dropping constraint 4 (the bound) instead of row 2 would leave
+        # a singular basis.
         lp = StandardLP(
             a=[[2, -2, 0, 0], [0, 1, -1, 0], [0, 1, -1, 0], [0, 1, -2, 0], [1, 1, 1, 1]],
             b=[2, -1, -1, -2, 4],
             c=[2, 1, 0, 0],
         )
+        for basis in (None, [4, 5, 8, 7, 6]):
+            sol = solve_lp(lp, basis)
+            assert sol.status == "optimal"
+            assert sol.x.tolist() == pytest.approx([1.0, 0.0, 1.0, 2.0], abs=1e-12)
+            assert sol.basis_rows.tolist() in ([0, 2, 3, 4], [0, 1, 3, 4])
+            assert certify(lp, sol) == 2
+
+    def test_basis_is_returned(self):
+        # every row covered without a drop; an infeasible LP ends on the
+        # phase-1 basis, with the artificial of row 1 (id 2 + 1) basic
+        lp = random_feasible_lp(np.random.default_rng(8), 4, 9)
         sol = solve_lp(lp)
-        assert sol.status == "optimal"
-        assert sol.x.tolist() == pytest.approx([1.0, 0.0, 1.0, 2.0], abs=1e-12)
+        assert sol.basis_rows.tolist() == [0, 1, 2, 3, 4]
+        assert sol.x[sol.basis] == pytest.approx(np.linalg.solve(lp.a[:, sol.basis], lp.b), rel=1e-12)
+        assert set(np.flatnonzero(sol.x).tolist()) <= set(sol.basis.tolist())
+        certify(lp, sol)
+        sol = solve_lp(StandardLP(a=[[1.0, 1.0], [1.0, 1.0]], b=[1.0, 2.0], c=[1.0, 0.0]))
+        assert sol.status == "infeasible"
+        assert sol.basis_rows.tolist() == [0, 1] and 3 in sol.basis.tolist()
 
 
 def first_feasible_basis(lp: StandardLP):
@@ -253,27 +271,92 @@ class TestCounters:
         assert sol.phase1_pivots > 0 and sol.phase2_pivots > 0
         assert sol.phase1_pivots + sol.phase2_pivots == len(calls)
 
-    def test_cycling_lp_switches_to_bland(self):
+    def test_cycling_lp_switches_to_bland(self, monkeypatch):
         # Phase 1 of this LP is the cycling example of Bertsimas &
         # Tsitsiklis (Example 3.6): the column sums are its objective
         # (3/4, -20, 1/2, -6) and the artificials of rows 1-2 are its
-        # slacks.  Dantzig pricing cycles through degenerate pivots until
-        # the streak limit 2 (m + n + m) = 32 turns Bland's rule on.
-        lp = StandardLP(
-            a=[
-                [0.25, -8.0, -1.0, 9.0, 0.1, 0.0, 0.0, 0.0],
-                [0.5, -12.0, -0.5, 3.0, 0.0, 0.1, 0.0, 0.0],
-                [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.1, 0.0],
-                [0.0, 0.0, 1.0, -18.0, 0.0, 0.0, 0.0, 0.1],
-            ],
-            b=[0.0, 0.0, 1.0, 100.0],
-            c=[0.75, -20.0, 0.5, -6.0, 0.0, 0.0, 0.0, 0.0],
-        )
-        sol = solve_lp(lp)
-        assert sol.bland
-        assert sol.phase1_pivots > 32
-        assert sol.objective == pytest.approx(enumerate_vertices(lp), abs=1e-9)
-        assert sol.objective == pytest.approx(1.25, abs=1e-9)
+        # slacks.  Dantzig's rule cycles on it and steepest edge does
+        # not, so a streak limit of 0 forces Bland's rule on at the
+        # first degenerate pivot.
+        lp = CYCLING_LP
+        free = solve_lp(lp)
+        monkeypatch.setattr(lpsolver, "_BLAND_STREAK", 0)
+        forced = solve_lp(lp)
+        assert not free.bland and forced.bland
+        for sol in (free, forced):
+            assert sol.objective == pytest.approx(enumerate_vertices(lp), abs=1e-9)
+            assert sol.objective == pytest.approx(1.25, abs=1e-9)
+            assert certify(lp, sol) == Fraction(5, 4)
+
+
+CYCLING_LP = StandardLP(
+    a=[
+        [0.25, -8.0, -1.0, 9.0, 0.1, 0.0, 0.0, 0.0],
+        [0.5, -12.0, -0.5, 3.0, 0.0, 0.1, 0.0, 0.0],
+        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.1, 0.0],
+        [0.0, 0.0, 1.0, -18.0, 0.0, 0.0, 0.0, 0.1],
+    ],
+    b=[0.0, 0.0, 1.0, 100.0],
+    c=[0.75, -20.0, 0.5, -6.0, 0.0, 0.0, 0.0, 0.0],
+)
+
+
+def exact_solve(rows, rhs):
+    """x with B x = rhs in Fractions, for a nonsingular B given as its
+    rows, each a dict {column: Fraction} of its nonzeros: Gauss-Jordan
+    elimination on the nonzeros, each column pivoting on its shortest
+    remaining row, the columns with fewest entries first."""
+    rows, rhs, m = [dict(r) for r in rows], list(rhs), len(rows)
+    where = [set() for _ in range(m)]  # column -> rows with a nonzero there
+    for i, r in enumerate(rows):
+        for j in r:
+            where[j].add(i)
+    pivot_of = {}
+    for j in sorted(range(m), key=lambda j: len(where[j])):
+        p = min(set(where[j]) - set(pivot_of.values()), key=lambda i: (len(rows[i]), i))
+        pivot_of[j] = p
+        for i in sorted(where[j] - {p}):
+            f = rows[i][j] / rows[p][j]
+            for k, v in rows[p].items():
+                w = rows[i].get(k, 0) - f * v
+                if w:
+                    rows[i][k] = w
+                    where[k].add(i)
+                else:
+                    del rows[i][k]
+                    where[k].discard(i)
+            rhs[i] -= f * rhs[p]
+    return [rhs[pivot_of[j]] / rows[pivot_of[j]][j] for j in range(m)]
+
+
+def certify(lp: StandardLP, sol: LPSolution) -> Fraction:
+    """Proves sol's basis optimal in exact arithmetic over the rows it
+    covers: B x_B = b with x_B >= 0, and with B^T y = c_B every reduced
+    cost c_j - y.A_j is <= 0.  Checks that the float objective lies
+    within 1e-12 of the exact one, c_B.x_B, and returns that."""
+    assert sol.status == "optimal" and len(sol.basis) == len(sol.basis_rows)
+    assert (sol.basis < lp.shape[1]).all()  # no artificial is left in an optimal basis
+    row_at = {r: k for k, r in enumerate(sol.basis_rows.tolist())}
+    col_at = {j: k for k, j in enumerate(sol.basis.tolist())}
+    entries = [
+        (row_at[r], j, Fraction(v))
+        for r, j, v in zip(lp.rows.tolist(), lp.cols.tolist(), lp.vals.tolist())
+        if r in row_at
+    ]
+    b_rows, bt_rows = [{} for _ in row_at], [{} for _ in row_at]
+    for i, j, v in entries:
+        if j in col_at:
+            b_rows[i][col_at[j]] = bt_rows[col_at[j]][i] = v
+    x_b = exact_solve(b_rows, [Fraction(v) for v in lp.b[sol.basis_rows].tolist()])
+    assert min(x_b) >= 0
+    y = exact_solve(bt_rows, [Fraction(v) for v in lp.c[sol.basis].tolist()])
+    d = [Fraction(v) for v in lp.c.tolist()]
+    for i, j, v in entries:
+        d[j] -= y[i] * v
+    assert max(d) <= 0, f"reduced cost {float(max(d)):.3g} > 0"
+    objective = sum(Fraction(v) * x for v, x in zip(lp.c[sol.basis].tolist(), x_b))
+    assert abs(sol.objective - objective) <= 1e-12 * abs(objective)
+    return objective
 
 
 def triplets(a):
@@ -385,28 +468,35 @@ def near_tie_chains(rng):
                         yield ratios, ids
 
 
-def assert_same_solve(lp, basis=None):
-    """Bitwise the reference solver's x, objective, status and counters."""
+def assert_solves_like_reference(lp, basis=None):
+    """The reference solver's status, and its objective to 1e-12
+    relative; returns both solutions."""
     got, want = solve_lp(lp, basis), reference.solve_lp(lp, basis)
-    assert got.x.tobytes() == want.x.tobytes()
-    assert (got.objective.hex(), got.status, got.phase1_pivots, got.phase2_pivots, got.bland) == (
-        want.objective.hex(), want.status, want.phase1_pivots, want.phase2_pivots, want.bland)
+    assert got.status == want.status
+    if want.status == "optimal":
+        assert abs(got.objective - want.objective) <= 1e-12 * abs(want.objective)
+    else:
+        assert got.objective.hex() == want.objective.hex()  # nan or inf
+    return got, want
 
 
-def lifetime_lp(n, seed, monkeypatch):
-    """The with-coop lifetime LP and crash basis of an n-node topology at
-    the bench's constant density."""
+def lifetime_lp(n, seed, monkeypatch, with_coop=True):
+    """The lifetime LP and crash basis of an n-node topology at the
+    bench's constant density."""
     nodes = harness.generate_topology(n, 100.0 * math.sqrt(n / 30.0), seed)
     links = routing.build_links(nodes, harness.default_phy())
     captured = []
-    solve = routing.solve_lp
-    monkeypatch.setattr(routing, "solve_lp", lambda lp, basis: captured.append((lp, basis)) or solve(lp, basis))
-    routing.solve_lifetime_lp(nodes, links)
+    with monkeypatch.context() as patch:
+        patch.setattr(routing, "solve_lp", lambda lp, basis: captured.append((lp, basis)) or solve_lp(lp, basis))
+        routing.solve_lifetime_lp(nodes, links, with_coop=with_coop)
     return captured[0]
 
 
 class TestPivotOracles:
-    """The vectorised pivot against the unvectorised one it replaced."""
+    """The vectorised ratio test and pricing against the unvectorised
+    ones they replaced, bit for bit; whole solves against the
+    reference's Dantzig-priced simplex, by status and objective, and
+    against exact optimality certificates."""
 
     def test_ratio_test_on_near_tie_chains(self):
         rng = np.random.default_rng(24)
@@ -481,39 +571,37 @@ class TestPivotOracles:
             flip = rng.random(len(b)) < 0.5  # negative right-hand sides
             a[flip], b[flip] = -a[flip], -b[flip]
             lp = StandardLP(a=a, b=b, c=lp.c)
-            assert_same_solve(lp)
-            assert_same_solve(lp, first_feasible_basis(lp))
+            for basis in (None, first_feasible_basis(lp)):
+                got, _want = assert_solves_like_reference(lp, basis)
+                certify(lp, got)
             w = rng.normal(size=(2, len(b)))  # redundant rows
-            assert_same_solve(StandardLP(a=np.vstack([w @ a, a]), b=np.append(w @ b, b), c=lp.c))
+            assert_solves_like_reference(StandardLP(a=np.vstack([w @ a, a]), b=np.append(w @ b, b), c=lp.c))
 
     def test_larger_random_lp_solves_bit_for_bit(self):
         rng = np.random.default_rng(77)
         for trial in range(3):
-            assert_same_solve(random_feasible_lp(rng, 25, 60))
+            assert_solves_like_reference(random_feasible_lp(rng, 25, 60))
 
     def test_special_lps_solve_bit_for_bit(self):
-        cycling = StandardLP(
-            a=[
-                [0.25, -8.0, -1.0, 9.0, 0.1, 0.0, 0.0, 0.0],
-                [0.5, -12.0, -0.5, 3.0, 0.0, 0.1, 0.0, 0.0],
-                [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.1, 0.0],
-                [0.0, 0.0, 1.0, -18.0, 0.0, 0.0, 0.0, 0.1],
-            ],
-            b=[0.0, 0.0, 1.0, 100.0],
-            c=[0.75, -20.0, 0.5, -6.0, 0.0, 0.0, 0.0, 0.0],
-        )
-        assert solve_lp(cycling).bland
-        assert_same_solve(cycling)
-        assert_same_solve(StandardLP(a=[[1.0, 1.0], [1.0, 1.0]], b=[1.0, 2.0], c=[1.0, 0.0]))  # infeasible
-        assert_same_solve(StandardLP(a=[[1.0, -1.0]], b=[0.0], c=[1.0, 0.0]))  # unbounded
-        assert_same_solve(StandardLP(a=[[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]], b=[1.0, 2.0], c=[1.0, 0.0, 0.0]), [0, 4])
+        got, _want = assert_solves_like_reference(CYCLING_LP)
+        certify(CYCLING_LP, got)
+        assert_solves_like_reference(StandardLP(a=[[1.0, 1.0], [1.0, 1.0]], b=[1.0, 2.0], c=[1.0, 0.0]))  # infeasible
+        assert_solves_like_reference(StandardLP(a=[[1.0, -1.0]], b=[0.0], c=[1.0, 0.0]))  # unbounded
+        lp = StandardLP(a=[[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]], b=[1.0, 2.0], c=[1.0, 0.0, 0.0])
+        got, _want = assert_solves_like_reference(lp, [0, 4])
+        assert certify(lp, got) == 1
 
     @pytest.mark.parametrize("n, seed", [(30, 1), (30, 2), (60, 1), (100, 1)])
     def test_lifetime_lps_solve_bit_for_bit(self, monkeypatch, n, seed):
-        lp, basis = lifetime_lp(n, seed, monkeypatch)
-        assert_same_solve(lp, basis)
-        if n == 30:
-            assert_same_solve(lp)  # from every artificial
+        # from the crash basis with and without coop links, and at n =
+        # 30 from every artificial too; each in no more pivots than
+        # Dantzig's rule takes
+        for with_coop in (False, True):
+            lp, basis = lifetime_lp(n, seed, monkeypatch, with_coop)
+            for start in (basis, None) if n == 30 else (basis,):
+                got, want = assert_solves_like_reference(lp, start)
+                certify(lp, got)
+                assert got.phase1_pivots + got.phase2_pivots <= want.phase1_pivots + want.phase2_pivots
 
     def test_non_finite_reduced_cost_is_not_optimal(self):
         # y = c_B B^-1 is NaN on row 0, so no reduced cost is finite; a

@@ -374,6 +374,16 @@ class TestLinkSet:
         assert all(isinstance(v, np.ndarray) for v in vars(links).values())
 
 
+def solver_units(nodes):
+    """nodes in the units solve_lifetime_lp solves in: every energy and
+    rate divided by the power of two that puts the largest sensor
+    energy, or the largest sensor rate, in [0.5, 1)."""
+    sensors = [v for v in nodes if not v.is_sink]
+    e = math.frexp(max(v.energy for v in sensors))[1]
+    r = math.frexp(max(v.rate for v in sensors))[1]
+    return [replace(v, energy=math.ldexp(v.energy, -e), rate=math.ldexp(v.rate, -r)) for v in nodes]
+
+
 def reference_lp_matrix(nodes, links, with_coop):
     """Row-by-row assembly of the lifetime LP: one conservation row and
     one energy row per sensor over columns direct flows | coop flows |
@@ -427,7 +437,7 @@ class TestLifetimeLp:
             routing, "solve_lp", lambda lp, basis=None: captured.append(lp) or solve(lp, basis)
         )
         solve_lifetime_lp(nodes, links, with_coop=with_coop)
-        a, b, c = reference_lp_matrix(nodes, links, with_coop)
+        a, b, c = reference_lp_matrix(solver_units(nodes), links, with_coop)
         (lp,) = captured
         assert lp.a.shape == a.shape
         assert np.array_equal(lp.a, a) and np.array_equal(lp.b, b) and np.array_equal(lp.c, c)
@@ -441,7 +451,7 @@ class TestLifetimeLp:
         solve_lifetime_lp(snapshot_nodes, links, with_coop=True)
         ((lp, _basis, sol),) = calls
         assert sol.status == "optimal"
-        a, b, c = reference_lp_matrix(snapshot_nodes, links, True)
+        a, b, c = reference_lp_matrix(solver_units(snapshot_nodes), links, True)
         assert np.array_equal(lp.a, a) and np.array_equal(lp.b, b) and np.array_equal(lp.c, c)
 
     def test_single_hop(self, phy):
@@ -680,8 +690,8 @@ class _Caught(Exception):
 
 def assert_same_lp_data(monkeypatch, nodes, links, with_coop):
     """solve_lifetime_lp hands solve_lp the LP data and starting basis
-    of routing_reference.reference_lp_data, bit for bit.  Returns the
-    number of artificials in the basis."""
+    of routing_reference.reference_lp_data in solver units, bit for
+    bit.  Returns the number of artificials in the basis."""
 
     def catch(lp, basis=None):
         raise _Caught(lp, basis)
@@ -690,7 +700,7 @@ def assert_same_lp_data(monkeypatch, nodes, links, with_coop):
     with pytest.raises(_Caught) as caught:
         solve_lifetime_lp(nodes, links, with_coop=with_coop)
     lp, basis = caught.value.args
-    ref, ref_basis = reference_lp_data(nodes, links, with_coop)
+    ref, ref_basis = reference_lp_data(solver_units(nodes), links, with_coop)
     for name in ("rows", "cols", "vals", "b", "c"):
         got, want = getattr(lp, name), getattr(ref, name)
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
