@@ -15,11 +15,11 @@ Forrest and Goldfarb, Math. Programming 57, 1992): the entering column
 has the largest d_j^2 / gamma_j among the improving columns, where
 gamma_j = 1 + |B^-1 a_j|^2.  Each phase computes gamma once and then
 updates it and the reduced costs d from each pivot row, and prices d
-afresh before it reports an optimum or an unbounded ray.  So a pivot
-costs O(n + nnz(A) + m^2) in a set number of numpy calls plus a Python
-loop over the near rows.  A permanent switch to Bland's rule once a
-degeneracy streak is detected guarantees termination, and pivots are
-deterministic.  An optimal basis that does not solve the original
+afresh before it reports an optimum or an unbounded ray, and before
+each pivot under Bland's rule.  So a pivot costs O(n + nnz(A) + m^2)
+in a set number of numpy calls plus a Python loop over the near rows.
+A permanent switch to Bland's rule once a degeneracy streak is
+detected guarantees termination, and pivots are deterministic.  An optimal basis that does not solve the original
 system to 1e-9 (relative to the largest |b|) raises SimplexError.
 """
 
@@ -175,8 +175,9 @@ class _Columns:
     def weights(self, binv: np.ndarray) -> np.ndarray:
         """1 + |B^-1 a_j|^2 over the structural columns, as 1 + a_j^T M
         a_j with M = B^-T B^-1: the head table's 4 x 4 products of
-        entries, then each long column's quadratic form in full."""
-        gram = _gram(binv)
+        entries, then each long column's quadratic form in full.  M is
+        an np.einsum, which calls no BLAS."""
+        gram = np.einsum("ki,kj->ij", binv, binv)
         hr, hv = self.head_rows, self.head_vals
         w = np.ones(self.n)
         for k in range(4):
@@ -204,25 +205,6 @@ class _Columns:
                 s, e = self.starts[j], self.starts[j + 1]
                 bmat[self.rows[s:e], k] = self.vals[s:e]
         return bmat
-
-
-def _gram(binv: np.ndarray) -> np.ndarray:
-    """M = B^-T B^-1 from B^-1, elementwise, as the sum over the rows of
-    B^-1 of their outer products.  While B^-1 is sparse, as at the
-    lifetime LP's crash basis, np.bincount sums the products of each
-    pair of nonzeros within a row; past 4 m^2 pairs (a dense B^-1 has
-    m^3) np.einsum sums them without holding them."""
-    m = len(binv)
-    k, i = binv.nonzero()  # row-major, so each row's entries are adjacent
-    count = np.bincount(k, minlength=m)[k]  # entries in each entry's row
-    if count.sum() > 4 * m * m:
-        return np.einsum("ki,kj->ij", binv, binv)
-    v = binv[k, i]
-    # pair p = (first[p], second[p]): each entry with every entry of its row
-    first = np.repeat(np.arange(len(k)), count)
-    start = np.repeat(np.searchsorted(k, k), count)  # the row's first entry
-    second = start + np.arange(len(first)) - np.repeat(np.cumsum(count) - count, count)
-    return np.bincount(i[first] * m + i[second], v[first] * v[second], m * m).reshape(m, m)
 
 
 def _leaving_row(alpha: np.ndarray, x_b: np.ndarray, basis: np.ndarray) -> int:
@@ -301,7 +283,9 @@ def _iterate(a: _Columns, cost, binv, x_b, basis, max_iters):
         gamma = np.concatenate([gamma, 1.0 + np.einsum("ki,ki->i", binv, binv)])
     d, fresh = reduced_costs(), True
     while pivots < max_iters:
-        if bland:  # first improving column
+        if bland:  # first improving column, on reduced costs priced afresh
+            if not fresh:
+                d, fresh = reduced_costs(), True
             col = int(np.argmax(d > _PIVOT_TOL))
         else:  # largest d_j^2 / gamma_j over the improving columns, first on ties
             col = int(np.argmax(np.where(d > _PIVOT_TOL, d * d / gamma, -1.0)))
