@@ -13,13 +13,13 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+# invert_cluster_size is unused here: bench/tracing.py wraps this name.
 from .gainmodels import PhyParams, invert_cluster_size, invert_cluster_sizes
 
 __all__ = [
     "DiskScenario",
     "BypassProfile",
     "npf",
-    "cluster_size_for_ring",
     "njoint_profile",
     "optimize_bypass",
     "pure_bypass_profile",
@@ -111,13 +111,6 @@ def npf(b: float, scenario: DiskScenario) -> float:
 def _required_gain(b: float, scenario: DiskScenario) -> float:
     """Gain a cluster at radius b needs to reach the sink in one shot."""
     return max(b / scenario.a0, 1.0) ** scenario.phy.alpha
-
-
-def cluster_size_for_ring(b: float, scenario: DiskScenario) -> int:
-    """Cluster size needed at radius b to reach the sink in one shot,
-    or 0 where the mode's gain model cannot reach it (the ring forwards)."""
-    _check_radius(b, scenario)
-    return invert_cluster_size(_required_gain(b, scenario), scenario.mode, scenario.phy)
 
 
 def _tables(scenario: DiskScenario):

@@ -121,7 +121,7 @@ def load_topology(path: str) -> list[SensorNode]:
         missing = [key for key in ("id", "x", "y") if key not in entry]
         if missing:
             raise ValueError(f"{path}: node {k} lacks {', '.join(missing)}")
-        values = {key: entry.get(key, 1.0) for key in ("id", "x", "y", "energy", "rate")}
+        values = {key: entry[key] for key in ("id", "x", "y", "energy", "rate") if key in entry}
         for key, v in values.items():  # bool is an int subclass, but true is no JSON number
             if isinstance(v, bool) or not isinstance(v, int if key == "id" else (int, float)):
                 kind = "an integer" if key == "id" else "a number"

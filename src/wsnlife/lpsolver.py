@@ -3,12 +3,14 @@
 Solves max c.x subject to A x = b, x >= 0 from one starting basis:
 all artificial unit columns, or any feasible mix of structural and
 artificial columns (one per row, nonsingular, B^-1 b >= 0) that the
-caller passes.  Phase 1 runs only while an artificial is basic.  The
-basis inverse is kept explicitly (dense, one rank-1 update per pivot,
-in place through one scratch array per phase); A is read only through
-its nonzeros, pricing from a table of each column's first four
-entries, and the ratio test scans only the rows whose ratio lies near
-the least one, yet picks the row a scan over every row picks.
+caller passes.  Phase 1 runs only while an artificial is basic.  Only
+structural columns are priced, so an artificial never re-enters; one
+on a redundant row stays basic at zero.  The basis inverse is kept
+explicitly (dense, one rank-1 update per pivot, in place through one
+scratch array per phase); A is read only through its nonzeros,
+pricing from a table of each column's first four entries, and the
+ratio test scans only the rows whose ratio lies near the least one,
+yet picks the row a scan over every row picks.
 
 Steepest-edge pricing (Goldfarb and Reid, Math. Programming 12, 1977;
 Forrest and Goldfarb, Math. Programming 57, 1992): the entering column
@@ -126,11 +128,9 @@ class LPSolution:
     phase1_pivots: int = 0  # includes pivots driving artificials out
     phase2_pivots: int = 0
     bland: bool = False  # Bland's rule switched on in either phase
-    # The final basis, as column ids (n + k is row k's artificial), and
-    # the rows of A it covers, all but those phase 1 dropped as
-    # redundant: x[basis] solves A[basis_rows][:, basis] x_B = b[basis_rows].
+    # The final basis, as column ids: n + k is row k's artificial, left
+    # basic at zero where row k is a combination of the other rows.
     basis: np.ndarray | None = None
-    basis_rows: np.ndarray | None = None
 
 
 class _Columns:
@@ -189,9 +189,7 @@ class _Columns:
         return w
 
     def column(self, binv: np.ndarray, j: int) -> np.ndarray:
-        """B^-1 times column j."""
-        if j >= self.n:
-            return binv[:, j - self.n].copy()
+        """B^-1 times structural column j."""
         s, e = self.starts[j], self.starts[j + 1]
         return (binv[:, self.rows[s:e]] * self.vals[s:e]).sum(axis=1)
 
@@ -261,26 +259,22 @@ def _exchange(binv, x_b, basis, alpha, scratch, row, col) -> float:
 
 
 def _iterate(a: _Columns, cost, binv, x_b, basis, max_iters):
-    """Pivot until optimal or unbounded over the len(cost) priceable
-    columns, the artificials after the n structural ones if len(cost)
-    > n; returns (status, pivots, bland).  Steepest-edge pricing, with
-    gamma and d updated by the Goldfarb-Reid recurrences."""
-    priced_art = len(cost) > a.n
-    streak_limit = _BLAND_STREAK * (len(basis) + len(cost))
+    """Pivot until optimal or unbounded, pricing only the n structural
+    columns: cost covers every id, n + k at row k's artificial, so an
+    artificial is read in c_B but never enters.  Returns (status,
+    pivots, bland).  Steepest-edge pricing, with gamma and d updated by
+    the Goldfarb-Reid recurrences."""
+    c = cost[: a.n]
+    streak_limit = _BLAND_STREAK * (len(basis) + a.n)
     bland, degenerate_streak, pivots = False, 0, 0
     scratch = np.empty_like(binv)
-
-    def over_priced(v):  # v A over the priced columns
-        return np.concatenate([a.price(v), v]) if priced_art else a.price(v)
 
     def reduced_costs():
         c_b = cost[basis]
         priced = c_b.nonzero()[0]  # y = c_B B^-1 over the rows with a cost
-        return cost - over_priced((c_b[priced, None] * binv[priced]).sum(axis=0))
+        return c - a.price((c_b[priced, None] * binv[priced]).sum(axis=0))
 
     gamma = a.weights(binv)
-    if priced_art:  # artificial k: 1 + |column k of B^-1|^2
-        gamma = np.concatenate([gamma, 1.0 + np.einsum("ki,ki->i", binv, binv)])
     d, fresh = reduced_costs(), True
     while pivots < max_iters:
         if bland:  # first improving column, on reduced costs priced afresh
@@ -304,15 +298,16 @@ def _iterate(a: _Columns, cost, binv, x_b, basis, max_iters):
             return "optimal", pivots, bland
         # With rho the pivot row (B^-1 A)[row] / alpha[row] and tau =
         # B^-T alpha: gamma_j += rho_j (rho_j gamma_q - 2 a_j.tau), at
-        # least 1 + rho_j^2, and d_j -= d_q rho_j; the leaving column
-        # gets gamma_q / alpha[row]^2, at least 1.
-        rho = over_priced(binv[row])
+        # least 1 + rho_j^2, and d_j -= d_q rho_j; a leaving structural
+        # column gets gamma_q / alpha[row]^2, at least 1.
+        rho = a.price(binv[row])
         rho /= alpha[row]
-        a_tau = over_priced(np.einsum("k,ki->i", alpha, binv))
+        a_tau = a.price(np.einsum("k,ki->i", alpha, binv))
         gamma_q = 1.0 + float((alpha * alpha).sum())
         gamma += rho * (rho * gamma_q - 2.0 * a_tau)
         np.maximum(gamma, 1.0 + rho * rho, out=gamma)
-        gamma[basis[row]] = max(gamma_q / (alpha[row] * alpha[row]), 1.0)
+        if basis[row] < a.n:
+            gamma[basis[row]] = max(gamma_q / (alpha[row] * alpha[row]), 1.0)
         d -= d[col] * rho
         d[col], fresh = 0.0, False
         theta = _exchange(binv, x_b, basis, alpha, scratch, row, col)
@@ -322,18 +317,14 @@ def _iterate(a: _Columns, cost, binv, x_b, basis, max_iters):
     raise SimplexError(f"simplex did not terminate within {max_iters} pivots")
 
 
-def _factor(a: _Columns, basis, b):
-    """B, B^-1 and x_B = B^-1 b for a basis of column ids."""
-    bmat = a.basis_matrix(basis, len(b))
-    binv = np.linalg.inv(bmat)
-    return bmat, binv, binv @ b
-
-
 def solve_lp(lp: StandardLP, basis=None) -> LPSolution:
     """Optimize lp from a basis of m column ids, one per row, in which
     id n + k is row k's artificial unit column; the default is every
     artificial.  A malformed, singular or infeasible basis raises
-    ValueError.  Phase 1 maximizes -(sum of artificials) from there."""
+    ValueError.  Phase 1 maximizes -(sum of artificials) from there.
+    An artificial it cannot drive out stays basic at zero on its
+    redundant row, whose row of B^-1 A is zero on every structural
+    column, so no phase-2 pivot moves it."""
     m, n = lp.shape
     rows, cols, vals = lp.rows, lp.cols, lp.vals
     if (lp.b < 0).any():  # negate the rows whose right-hand side is negative
@@ -345,51 +336,44 @@ def solve_lp(lp: StandardLP, basis=None) -> LPSolution:
     basis = np.arange(n, n + m) if basis is None else np.array(basis, dtype=np.intp)
     if basis.shape != (m,) or not ((basis >= 0) & (basis < n + m)).all():
         raise ValueError(f"starting basis must list {m} column ids in [0, {n + m})")
+    bmat = a.basis_matrix(basis, m)
     try:
-        bmat, binv, x_b = _factor(a, basis, b)
+        binv = np.linalg.inv(bmat)
     except np.linalg.LinAlgError:
         raise ValueError("starting basis is singular") from None
     # 1-norm condition number of B from B^-1, which is already at hand
     cond = np.abs(bmat).sum(axis=0).max() * np.abs(binv).sum(axis=0).max()
     if not cond < 1e12:
         raise ValueError(f"starting basis is singular (condition number {cond:.3g})")
+    x_b = binv @ b
     if x_b.min(initial=0.0) < -1e-9 * (1.0 + b.max(initial=0.0)):
         raise ValueError("starting basis is infeasible: B^-1 b has a negative entry")
-    pivots1, bland1, keep = 0, False, np.ones(m, dtype=bool)
+    pivots1, bland1 = 0, False
     if (basis >= n).any():
         cost = np.concatenate([np.zeros(n), -np.ones(m)])
         status, pivots1, bland1 = _iterate(a, cost, binv, x_b, basis, max_iters)
         if status != "optimal":
             raise SimplexError("phase 1 reported unbounded (internal bug)")
         if x_b[basis >= n].sum() > 1e-7 * (1.0 + b.max(initial=0.0)):
-            return LPSolution(np.zeros(n), float("nan"), "infeasible", pivots1, 0, bland1, basis, np.arange(m))
-
-        # Drive remaining artificials out of the basis or drop their rows.
-        # An artificial e_k left basic at position i makes row i of B^-1 A a
-        # dependency with weight 1 on constraint k, so constraint k goes.
+            return LPSolution(np.zeros(n), float("nan"), "infeasible", pivots1, 0, bland1, basis)
+        # Drive each basic artificial out on a structural column with a
+        # nonzero in its row of B^-1 A.  Where there is none, its row of
+        # A is a combination of the others, and the artificial stays.
         scratch = np.empty_like(binv)
         for i in np.flatnonzero(basis >= n).tolist():
             big = np.flatnonzero(np.abs(a.price(binv[i])) > _PIVOT_TOL)
             if big.size:
                 _exchange(binv, x_b, basis, a.column(binv, int(big[0])), scratch, i, int(big[0]))
                 pivots1 += 1
-            else:
-                keep[basis[i] - n] = False
-        if not keep.all():  # refactorize the kept basis on the kept rows
-            kept = keep[rows]
-            a = _Columns((np.cumsum(keep) - 1)[rows[kept]], cols[kept], vals[kept], n)
-            basis, b = basis[basis < n], b[keep]
-            _bmat, binv, x_b = _factor(a, basis, b)
-    status, pivots2, bland2 = _iterate(a, lp.c, binv, x_b, basis, max_iters)
-    counters = dict(
-        phase1_pivots=pivots1, phase2_pivots=pivots2, bland=bland1 or bland2,
-        basis=basis, basis_rows=np.flatnonzero(keep),
-    )
+    cost = np.concatenate([lp.c, np.zeros(m)])
+    status, pivots2, bland2 = _iterate(a, cost, binv, x_b, basis, max_iters)
+    counters = dict(phase1_pivots=pivots1, phase2_pivots=pivots2, bland=bland1 or bland2, basis=basis)
     if status == "unbounded":
         return LPSolution(x=np.zeros(n), objective=float("inf"), status="unbounded", **counters)
 
-    x = np.zeros(n)
+    x = np.zeros(n + m)
     x[basis] = x_b
+    x = x[:n]
     x[np.abs(x) < 1e-12] = 0.0
     # B^-1 is updated in place through both phases, so rounding can
     # leave a basis that no longer solves the original system.  A NaN

@@ -1,3 +1,7 @@
+import importlib
+import sys
+from pathlib import Path
+
 import pytest
 
 from wsnlife.harness import default_phy
@@ -29,3 +33,15 @@ def snapshot_nodes(phy):
         SensorNode(id=i, x=x * a0, y=y * a0, rate=(-5.0 if i == 1 else 1.0))
         for i, (x, y) in SNAPSHOT_COORDS.items()
     ]
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    """The bench's workloads module, bench/workloads.py, imported with
+    bench/ on sys.path for the import only."""
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    sys.path.insert(0, bench)
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.path.remove(bench)

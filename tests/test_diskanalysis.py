@@ -8,13 +8,13 @@ from wsnlife.diskanalysis import (
     DiskScenario,
     _chain,
     _sweep,
-    cluster_size_for_ring,
     njoint_profile,
     npf,
     optimize_bypass,
     pure_bypass_profile,
     saving_percent,
 )
+from wsnlife.gainmodels import invert_cluster_size
 
 
 class TestNpf:
@@ -78,6 +78,12 @@ class TestRings:
             for grid in range(2, 60):
                 rings = DiskScenario(b0=b0, a0=1.0, grid=grid).rings()
                 assert 0 < rings[0] and rings[-1] <= b0 and rings == sorted(rings)
+
+
+def cluster_size_for_ring(b, sc):
+    """The cluster size a ring at radius b needs to reach the sink in
+    one shot: the gain max(b/a0, 1)^alpha inverted, 0 if unreachable."""
+    return invert_cluster_size(max(b / sc.a0, 1.0) ** sc.phy.alpha, sc.mode, sc.phy)
 
 
 class TestClusterSizeForRing:

@@ -12,7 +12,7 @@ from wsnlife import cli, harness
 from wsnlife.gainmodels import db_to_linear, dbm_to_watts
 from wsnlife.lpsolver import SimplexError
 from wsnlife.numerics import ConvergenceError
-from wsnlife.routing import build_links, solve_lifetime_lp
+from wsnlife.routing import SensorNode, build_links, solve_lifetime_lp
 
 
 class TestUnits:
@@ -85,6 +85,14 @@ class TestTopology:
         assert cli.main(["lp", "--topology", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+    def test_unlisted_keys_take_sensor_node_defaults(self, tmp_path):
+        # SensorNode holds the one default energy and rate
+        path = tmp_path / "topo.json"
+        path.write_text(json.dumps({"nodes": [{"id": 0, "x": 0, "y": 0, "rate": -1}, {"id": 1, "x": 1, "y": 0}]}))
+        sink, sensor = harness.load_topology(str(path))
+        assert sensor == SensorNode(id=1, x=1.0, y=0.0)
+        assert sink == SensorNode(id=0, x=0.0, y=0.0, rate=-1.0)
 
     def test_missing_node_list_rejected(self, tmp_path):
         path = tmp_path / "topo.json"

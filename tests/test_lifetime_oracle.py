@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from wsnlife.harness import generate_topology, load_topology
-from wsnlife.routing import NoRouteError, build_links, shortest_path_lifetime, solve_lifetime_lp
+from wsnlife.routing import NoRouteError, SensorNode, build_links, shortest_path_lifetime, solve_lifetime_lp
 
 
 def highs_lifetime(nodes, links, with_coop):
@@ -163,3 +163,21 @@ def test_tiny_batteries_keep_their_lifetime(phy):
         sol = solve_lifetime_lp(nodes, links, with_coop=with_coop)
         assert sol.lifetime == float(Fraction(100, 3) / 2**46)
         assert_feasible_flows(nodes, links, sol, tol=1e-24)
+
+
+@pytest.mark.parametrize("with_coop", [False, True])
+def test_isolated_idle_sensor_moves_nothing(phy, workloads, with_coop):
+    # A rate-0 sensor far from every node has no link, so its flow
+    # conservation row in the lifetime LP is all zeros: the LP gains a
+    # redundant row, whose artificial stays basic at zero.  The lifetime
+    # may move by rounding only, and the sensor spends nothing.
+    nets = [load_topology(str(path)) for path in sorted(GOLDEN.glob("topo*.json"))]
+    nets += [nodes for ladder in workloads.Network(1).pool for nodes in ladder][:60]
+    assert len(nets) == 64
+    for k, nodes in enumerate(nets):
+        idle = SensorNode(id=max(v.id for v in nodes) + 1, x=1e6, y=1e6, rate=0.0)
+        base = solve_lifetime_lp(nodes, build_links(nodes, phy), with_coop=with_coop)
+        sol = solve_lifetime_lp(nodes + [idle], build_links(nodes + [idle], phy), with_coop=with_coop)
+        assert abs(sol.lifetime - base.lifetime) <= 1e-15 * base.lifetime, k
+        assert sol.energy_used[idle.id] == 0.0, k
+        assert all(idle.id not in (i, j) for i, j, _coop in sol.qhat), k

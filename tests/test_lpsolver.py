@@ -157,12 +157,12 @@ class TestSolveLp:
             assert sol.status == "optimal", trial
             assert sol.objective == pytest.approx(solve_lp(lp).objective, abs=1e-9), trial
 
-    def test_redundant_row_dropped_is_the_dependent_one(self):
+    def test_redundant_row_keeps_its_artificial_at_zero(self):
         # Rows 1 and 2 are equal.  Started with row 2's artificial (id
         # 4 + 2) at basis position 4 and row 4's at position 2, phase 1
-        # ends with row 2's artificial still basic at position 4;
-        # dropping constraint 4 (the bound) instead of row 2 would leave
-        # a singular basis.
+        # drives out every artificial but that of row 1 or 2, which no
+        # structural column can replace; it stays basic at zero through
+        # phase 2.
         lp = StandardLP(
             a=[[2, -2, 0, 0], [0, 1, -1, 0], [0, 1, -1, 0], [0, 1, -2, 0], [1, 1, 1, 1]],
             b=[2, -1, -1, -2, 4],
@@ -172,30 +172,45 @@ class TestSolveLp:
             sol = solve_lp(lp, basis)
             assert sol.status == "optimal"
             assert sol.x.tolist() == pytest.approx([1.0, 0.0, 1.0, 2.0], abs=1e-12)
-            assert sol.basis_rows.tolist() in ([0, 2, 3, 4], [0, 1, 3, 4])
+            assert [j for j in sol.basis.tolist() if j >= 4] in ([5], [6])
             assert certify(lp, sol) == 2
 
+    @pytest.mark.parametrize("m, n", [(2, 1), (1, 3), (5, 3)])
+    def test_lp_without_nonzeros(self, m, n):
+        # Every row is redundant, so every artificial stays basic: the
+        # LP is unbounded if some c_j > 0, and optimal at x = 0 if not.
+        zeros = np.zeros((m, n))
+        c = np.array([3.0, -1.0, 0.0])[:n]
+        sol = solve_lp(StandardLP(a=zeros, b=np.zeros(m), c=c))
+        assert sol.status == "unbounded" and sol.basis.tolist() == list(range(n, n + m))
+        lp = StandardLP(a=zeros, b=np.zeros(m), c=-np.abs(c))
+        sol = solve_lp(lp)
+        assert sol.status == "optimal" and sol.x.tolist() == [0.0] * n
+        assert certify(lp, sol) == 0
+        assert solve_lp(StandardLP(a=zeros, b=np.arange(m) - 1.0, c=c)).status == "infeasible"
+
     def test_basis_is_returned(self):
-        # every row covered without a drop; an infeasible LP ends on the
-        # phase-1 basis, with the artificial of row 1 (id 2 + 1) basic
+        # all structural on an LP without redundant rows; an infeasible
+        # LP ends on the phase-1 basis, with the artificial of row 1 (id
+        # 2 + 1) basic
         lp = random_feasible_lp(np.random.default_rng(8), 4, 9)
         sol = solve_lp(lp)
-        assert sol.basis_rows.tolist() == [0, 1, 2, 3, 4]
+        assert (sol.basis < 10).all()
         assert sol.x[sol.basis] == pytest.approx(np.linalg.solve(lp.a[:, sol.basis], lp.b), rel=1e-12)
         assert set(np.flatnonzero(sol.x).tolist()) <= set(sol.basis.tolist())
         certify(lp, sol)
         sol = solve_lp(StandardLP(a=[[1.0, 1.0], [1.0, 1.0]], b=[1.0, 2.0], c=[1.0, 0.0]))
         assert sol.status == "infeasible"
-        assert sol.basis_rows.tolist() == [0, 1] and 3 in sol.basis.tolist()
+        assert 3 in sol.basis.tolist()
 
 
-def first_feasible_basis(lp: StandardLP):
+def first_feasible_basis(lp: StandardLP, tol=0.0):
     """The first basis, in combinations order, that is nonsingular and
-    has B^-1 b >= 0."""
+    has B^-1 b >= -tol."""
     m, n = lp.a.shape
     for cols in itertools.combinations(range(n), m):
         sub = lp.a[:, cols]
-        if np.linalg.matrix_rank(sub) == m and (np.linalg.solve(sub, lp.b) >= 0.0).all():
+        if np.linalg.matrix_rank(sub) == m and (np.linalg.solve(sub, lp.b) >= -tol).all():
             return list(cols)
     raise AssertionError("LP has no feasible basis")
 
@@ -330,31 +345,31 @@ def exact_solve(rows, rhs):
 
 
 def certify(lp: StandardLP, sol: LPSolution) -> Fraction:
-    """Proves sol's basis optimal in exact arithmetic over the rows it
-    covers: B x_B = b with x_B >= 0, and with B^T y = c_B every reduced
-    cost c_j - y.A_j is <= 0.  Checks that the float objective lies
-    within 1e-12 of the exact one, c_B.x_B, and returns that."""
-    assert sol.status == "optimal" and len(sol.basis) == len(sol.basis_rows)
-    assert (sol.basis < lp.shape[1]).all()  # no artificial is left in an optimal basis
-    row_at = {r: k for k, r in enumerate(sol.basis_rows.tolist())}
+    """Proves sol's basis optimal in exact arithmetic over all m rows:
+    B x_B = b with x_B >= 0, where a basic artificial n + k is the unit
+    column e_k and its value must be exactly 0, and with B^T y = c_B (0
+    at an artificial) every reduced cost c_j - y.A_j is <= 0.  Checks
+    that the float objective lies within 1e-12 of the exact one,
+    c_B.x_B, and returns that."""
+    assert sol.status == "optimal"
+    m, n = lp.shape
     col_at = {j: k for k, j in enumerate(sol.basis.tolist())}
-    entries = [
-        (row_at[r], j, Fraction(v))
-        for r, j, v in zip(lp.rows.tolist(), lp.cols.tolist(), lp.vals.tolist())
-        if r in row_at
-    ]
-    b_rows, bt_rows = [{} for _ in row_at], [{} for _ in row_at]
-    for i, j, v in entries:
+    entries = [(r, j, Fraction(v)) for r, j, v in zip(lp.rows.tolist(), lp.cols.tolist(), lp.vals.tolist())]
+    units = [(j - n, j, Fraction(1)) for j in col_at if j >= n]
+    b_rows, bt_rows = [{} for _ in range(m)], [{} for _ in range(m)]
+    for i, j, v in entries + units:
         if j in col_at:
             b_rows[i][col_at[j]] = bt_rows[col_at[j]][i] = v
-    x_b = exact_solve(b_rows, [Fraction(v) for v in lp.b[sol.basis_rows].tolist()])
+    x_b = exact_solve(b_rows, [Fraction(v) for v in lp.b.tolist()])
+    assert all(x == 0 for x, j in zip(x_b, sol.basis.tolist()) if j >= n)
     assert min(x_b) >= 0
-    y = exact_solve(bt_rows, [Fraction(v) for v in lp.c[sol.basis].tolist()])
+    c_b = [Fraction(v) for v in np.append(lp.c, np.zeros(m))[sol.basis].tolist()]
+    y = exact_solve(bt_rows, c_b)
     d = [Fraction(v) for v in lp.c.tolist()]
     for i, j, v in entries:
         d[j] -= y[i] * v
     assert max(d) <= 0, f"reduced cost {float(max(d)):.3g} > 0"
-    objective = sum(Fraction(v) * x for v, x in zip(lp.c[sol.basis].tolist(), x_b))
+    objective = sum(c * x for c, x in zip(c_b, x_b))
     assert abs(sol.objective - objective) <= 1e-12 * abs(objective)
     return objective
 
@@ -576,6 +591,42 @@ class TestPivotOracles:
                 certify(lp, got)
             w = rng.normal(size=(2, len(b)))  # redundant rows
             assert_solves_like_reference(StandardLP(a=np.vstack([w @ a, a]), b=np.append(w @ b, b), c=lp.c))
+
+    def test_lps_with_a_redundant_row(self):
+        # Integer LPs with one row an integer multiple of another, so the
+        # rows are exactly dependent and the rational certificate holds.
+        # A rank-deficient A leaves m - rank(A) artificials basic, at
+        # zero; started from every artificial and from a feasible basis
+        # of the other rows plus the copy's artificial.
+        rng = np.random.default_rng(30)
+        statuses = []
+        for trial in range(200):
+            m = int(rng.integers(1, 5))
+            n = int(rng.integers(m + 1, 9))
+            a = rng.integers(-3, 4, size=(m, n)).astype(float)
+            x0 = rng.integers(0, 3, size=n)  # a feasible point
+            b = a @ x0
+            if trial % 4:  # bounded, as in random_feasible_lp
+                a = np.vstack([np.hstack([a, np.zeros((m, 1))]), np.ones(n + 1)])
+                b = np.append(b, x0.sum() + 5.0)
+            lp = StandardLP(a=a, b=b, c=rng.normal(size=a.shape[1]))
+            starts = [None]
+            if np.linalg.matrix_rank(lp.a) == len(b):
+                starts.append(first_feasible_basis(lp, 1e-12))
+            src, at = int(rng.integers(len(b))), int(rng.integers(len(b) + 1))
+            k = float(rng.choice([-3, -2, -1, 1, 2, 3]))
+            padded = StandardLP(a=np.insert(a, at, k * a[src], axis=0), b=np.insert(b, at, k * b[src]), c=lp.c)
+            rank = np.linalg.matrix_rank(padded.a)
+            for start in starts:
+                if start is not None:  # a structural basis of the other rows
+                    start = [j if j < padded.shape[1] else j + (j - lp.shape[1] >= at) for j in start]
+                    start.insert(at, padded.shape[1] + at)
+                got, _want = assert_solves_like_reference(padded, start)
+                statuses.append(got.status)
+                assert (got.basis >= padded.shape[1]).sum() == len(padded.b) - rank, trial
+                if got.status == "optimal":
+                    certify(padded, got)
+        assert len(statuses) >= 300 and {"optimal", "unbounded"} <= set(statuses)
 
     def test_larger_random_lp_solves_bit_for_bit(self):
         rng = np.random.default_rng(77)

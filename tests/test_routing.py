@@ -1,8 +1,6 @@
 import heapq
-import importlib
 import itertools
 import math
-import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -230,19 +228,13 @@ class TestLinkIndex:
         assert links.direct_out(1) == ()
 
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture(scope="module")
-def bench_pools():
+def bench_pools(workloads):
     """The node list of every instance in the bench's network and
     lp_scaling pools at seeds 1-3."""
-    sys.path.insert(0, str(BENCH))
-    try:
-        workloads = importlib.import_module("workloads")
-    finally:
-        sys.path.remove(str(BENCH))
     pools = []
     for seed in (1, 2, 3):
         pools += [nodes for ladder in workloads.Network(seed).pool for nodes in ladder]
