@@ -619,8 +619,7 @@ class TestPivotOracles:
             rank = np.linalg.matrix_rank(padded.a)
             for start in starts:
                 if start is not None:  # a structural basis of the other rows
-                    start = [j if j < padded.shape[1] else j + (j - lp.shape[1] >= at) for j in start]
-                    start.insert(at, padded.shape[1] + at)
+                    start = start[:at] + [padded.shape[1] + at] + start[at:]
                 got, _want = assert_solves_like_reference(padded, start)
                 statuses.append(got.status)
                 assert (got.basis >= padded.shape[1]).sum() == len(padded.b) - rank, trial
