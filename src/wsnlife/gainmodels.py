@@ -98,6 +98,11 @@ class PhyParams:
             raise ValueError("power, noise and c0 must be positive and finite")
         if not 2 <= self.alpha < inf:
             raise ValueError("path-loss exponent must be at least 2 and finite")
+        # Measured exponents lie between 2 and about 6 (Rappaport,
+        # Wireless Communications, 2nd ed., Table 4.2).  At most 8, a
+        # distance ratio below 2^128 raised to alpha stays a float.
+        if not self.alpha <= 8:
+            raise ValueError(f"path-loss exponent must be at most 8, got {self.alpha:g}")
         if not (0 < self.wavelength < inf and 0 < self.density < inf):
             raise ValueError("wavelength and density must be positive and finite")
         if not 1 <= self.packet_len < inf:
@@ -221,7 +226,12 @@ def cb_gain_monte_carlo(
 
 
 def _good_channel_arg(r_disk: float, phy: PhyParams) -> float:
-    return phy.noise * r_disk**phy.alpha / (4.0 * phy.power)
+    """noise*R^alpha/(4P), inf where R^alpha overflows: far past the
+    approximation's domain, z <= 1."""
+    try:
+        return phy.noise * r_disk**phy.alpha / (4.0 * phy.power)
+    except OverflowError:
+        return math.inf
 
 
 def _ct_closed_form(n, z, phy: PhyParams):

@@ -274,8 +274,9 @@ def solve_lifetime_lp(
     transmitter and one at each helper.  Raises ValueError when the
     network has no sink, or when no sensor has a positive rate, where
     the lifetime is unbounded, and SimplexError when the solver does
-    not report an optimum.  Two nodes with one id raise ValueError,
-    as in build_links.
+    not report an optimum, or when the plan breaks a sensor's flow
+    balance or battery (see below).  Two nodes with one id raise
+    ValueError, as in build_links.
     """
     _check_ids(nodes)
     if not any(n.is_sink for n in nodes):
@@ -317,27 +318,48 @@ def solve_lifetime_lp(
     # solver's tolerances act at unit scale.
     e_exp = math.frexp(max(n.energy for n in sensors))[1]
     r_exp = math.frexp(max(n.rate for n in sensors))[1]
+    rate = np.array([math.ldexp(n.rate, -r_exp) for n in sensors])
+    energy = np.array([math.ldexp(n.energy, -e_exp) for n in sensors])
     vals = np.concatenate([
-        np.ones(2 * t_col), -np.ones(into.sum()), np.ones(len(hk)),
-        [-math.ldexp(n.rate, -r_exp) for n in sensors], np.ones(ns),
+        np.ones(2 * t_col), -np.ones(into.sum()), np.ones(len(hk)), -rate, np.ones(ns),
     ])
     key, at = np.unique(cols * (2 * ns) + rows, return_inverse=True)
     vals = np.bincount(at.ravel(), vals, len(key))
-    b = np.array([0.0] * ns + [math.ldexp(n.energy, -e_exp) for n in sensors])
+    b = np.concatenate([np.zeros(ns), energy])
     c = np.zeros(t_col + 1 + ns)
     c[t_col] = 1.0
     lp = StandardLP.from_triplets(key % (2 * ns), key // (2 * ns), vals, (2 * ns, len(c)), b, c)
-    # Crash basis: each sensor's min-hop tree edge, or its conservation
-    # row's artificial (id len(c) + row) where it has none, and every
-    # energy slack.  B is triangular in hop order, and x_B = (0, E) >= 0.
-    tree = _min_hop_tree({n.id for n in nodes if n.is_sink}, links)
+    # Crash basis: each sensor's edge of the load-balanced min-hop tree,
+    # or its conservation row's artificial (id len(c) + row) where it
+    # has none, and every energy slack.  B is triangular in hop order,
+    # and x_B = (0, E) >= 0.  T enters first and pushes each rate along
+    # the tree, so a tree that spreads the load starts nearer the
+    # optimum's balanced flows than the lowest-id one.
+    ids = [n.id for n in sensors]
+    layers = _min_hop_layers({n.id for n in nodes if n.is_sink}, links)
+    tree = _balanced_tree(layers, links, dict(zip(ids, rate.tolist())), dict(zip(ids, energy.tolist())))
     column = (np.cumsum(direct_col) - 1).tolist()  # of each direct link out of a sensor
-    basis = [column[tree[n.id]] if n.id in tree else len(c) + r for r, n in enumerate(sensors)]
+    basis = [column[tree[i]] if i in tree else len(c) + r for r, i in enumerate(ids)]
     sol = solve_lp(lp, basis + list(range(t_col + 1, t_col + 1 + ns)))
     # x = 0, T = 0 with every slack at its energy is feasible, and a
     # positive rate bounds T, so any other status is a solver fault
     if sol.status != "optimal":
         raise SimplexError(f"lifetime LP reported {sol.status} (internal bug)")
+    # The plan as printed must carry every sensor's traffic, out - in =
+    # r_i T to 1e-6 of r_i T plus the inflow, within its battery to 1e-6
+    # of it.  solve_lp's check is absolute at the scale of the largest
+    # energy, so it passes a sensor whose rate or battery is within
+    # about 1e-12 of that scale, where a flow of x < 1e-12 reads as 0.
+    x = np.where(sol.x[:t_col] > 0.0, sol.x[:t_col], 0.0)
+    sent = np.bincount(src, x, ns)
+    due = rate * sol.x[t_col] + np.bincount(dst[into], x[into], ns)
+    used = sent + np.bincount(hr - ns, x[hk], ns)
+    broken = np.flatnonzero(~(np.abs(sent - due) <= 1e-6 * due) | ~(used <= energy + 1e-6 * energy))
+    if broken.size:
+        raise SimplexError(
+            f"lifetime LP plan breaks sensor {ids[broken[0]]}'s flow balance or battery by more than "
+            "1e-6 relative (energies or rates may span too wide a range)"
+        )
 
     flows = np.ldexp(sol.x[:t_col], e_exp)  # back in energy units
     qhat: dict[tuple[int, int, bool], float] = {}
@@ -539,28 +561,63 @@ def simulate_dynamic(
                 delivered += 1
 
 
-def _min_hop_tree(sinks: set[int], links: LinkSet) -> dict[int, int]:
-    """Tree edge of every non-sink node that reaches a sink over direct
-    links, as its column in links.direct_pairs: the link to its
-    lowest-id direct successor one hop closer to the sink set.  A BFS
-    from the sinks over reversed direct links, one layer at a time in
-    ascending id order, meets each node first from exactly that
-    successor."""
+def _min_hop_layers(sinks: set[int], links: LinkSet) -> list[dict[int, list[int]]]:
+    """The nodes that reach the sink set over direct links, by hop
+    count: layer h maps each non-sink node h + 1 hops from it, in
+    ascending id order, to the columns of links.direct_pairs of its
+    links into layer h - 1 (the sinks, for h = 0), in ascending target
+    order.  A BFS from the sinks over reversed direct links, one layer
+    at a time in ascending id order."""
     by_dst = np.lexsort(links.direct_pairs)  # by target, then source
     dst = links.direct_pairs[1, by_dst]
     src, by_dst = links.direct_pairs[0, by_dst].tolist(), by_dst.tolist()
-    tree: dict[int, int] = {}
+    layers: list[dict[int, list[int]]] = []
     seen, frontier = set(sinks), sorted(sinks)
-    while frontier:
-        found = []
+    while True:
+        found: dict[int, list[int]] = {}
         runs = zip(dst.searchsorted(frontier).tolist(), dst.searchsorted(frontier, "right").tolist())
         for lo, hi in runs:  # the links into each frontier node
             for k in range(lo, hi):
-                if src[k] not in seen:
-                    seen.add(src[k])
-                    tree[src[k]] = by_dst[k]
-                    found.append(src[k])
+                if src[k] in found:
+                    found[src[k]].append(by_dst[k])
+                elif src[k] not in seen:
+                    found[src[k]] = [by_dst[k]]
+        if not found:
+            return layers
+        seen.update(found)
         frontier = sorted(found)
+        layers.append({i: found[i] for i in frontier})
+
+
+def _min_hop_tree(sinks: set[int], links: LinkSet) -> dict[int, int]:
+    """Tree edge of every non-sink node that reaches a sink over direct
+    links, as its column in links.direct_pairs: the link to its
+    lowest-id direct successor one hop closer to the sink set."""
+    return {i: cols[0] for layer in _min_hop_layers(sinks, links) for i, cols in layer.items()}
+
+
+def _balanced_tree(
+    layers: list[dict[int, list[int]]], links: LinkSet, rate: dict[int, float], energy: dict[int, float]
+) -> dict[int, int]:
+    """Tree edge of every sensor in the min-hop layers, as its column in
+    links.direct_pairs, chosen to spread the load: from the farthest
+    layer inward, each sensor in ascending id order sends its traffic,
+    its rate plus what the tree already routes into it, to the
+    successor one hop closer whose (traffic already through it + this
+    traffic) / energy is least, the lowest id on ties.  rate and energy
+    map each sensor's id to its own; any other node, a sink say, costs
+    nothing to reach, as it has no energy row."""
+    target = links.direct_pairs[1].tolist()
+    load = dict(rate)
+    tree: dict[int, int] = {}
+    for layer in reversed(layers):
+        for i, cols in layer.items():
+            if i not in load:
+                continue
+            t = load[i]
+            tree[i] = min(cols, key=lambda k: (load.get(target[k], 0.0) + t) / energy.get(target[k], math.inf))
+            if target[tree[i]] in load:
+                load[target[tree[i]]] += t
     return tree
 
 

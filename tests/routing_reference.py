@@ -1,10 +1,12 @@
 """Link building, lifetime-LP assembly and the crash basis as they stood
 while LinkSet held one Python tuple per link: a frozenset of direct
 links, a dict of coop links and dict-of-tuple adjacency indexes.  The
-code below is kept verbatim, but for its inputs and outputs, as the
-exactness oracle of test_routing.py: build_links must give the same
-links, and solve_lifetime_lp the same LP data and starting basis, bit
-for bit."""
+code below is kept verbatim, but for its inputs and outputs and for the
+load-balanced crash tree, written anew from its rule, as the exactness
+oracle of test_routing.py: build_links must give the same links, and
+solve_lifetime_lp the same LP data and starting basis, bit for bit."""
+
+import math
 
 import numpy as np
 
@@ -49,11 +51,14 @@ def reference_build_links(nodes, phy):
     )
 
 
-def reference_min_hop_tree(sinks: set[int], links) -> dict[int, int]:
+def reference_min_hop_tree(nodes, links) -> dict[int, int]:
     """Next hop of every non-sink node that reaches a sink over direct
-    links, by a BFS over the reversed direct links' adjacency index."""
+    links, the lowest-id one one hop closer, by a BFS over the reversed
+    direct links' adjacency index: the crash tree before the
+    load-balanced one."""
     direct_pred = _adjacency((j, i) for i, j in links.direct)
     tree: dict[int, int] = {}
+    sinks = {n.id for n in nodes if n.is_sink}
     seen, frontier = set(sinks), sorted(sinks)
     while frontier:
         found = []
@@ -67,9 +72,37 @@ def reference_min_hop_tree(sinks: set[int], links) -> dict[int, int]:
     return tree
 
 
-def reference_lp_data(nodes, links, with_coop):
+def reference_balanced_tree(nodes, links) -> dict[int, int]:
+    """Next hop of every sensor that reaches a sink over direct links,
+    by the load-balancing rule: hop counts to the sink set, then, from
+    the largest hop count down and in ascending id order within one,
+    each sensor sends its rate plus what is already routed into it to
+    the direct successor one hop closer with the least (traffic
+    through it + this traffic) / energy, the lowest id on ties.  Any
+    node but a sensor costs nothing to reach."""
+    sinks = {n.id for n in nodes if n.is_sink}
+    energy = {n.id: n.energy for n in nodes if not n.is_sink}
+    load = {n.id: n.rate for n in nodes if not n.is_sink}
+    direct = list(links.direct)
+    direct_succ = _adjacency(direct)
+    hops = dict.fromkeys(sinks, 0)
+    while new := {i: hops[j] + 1 for (i, j) in direct if j in hops and i not in hops}:
+        hops.update(new)
+    tree: dict[int, int] = {}
+    for v in sorted(hops, key=lambda v: (-hops[v], v)):
+        if v in load:
+            closer = [j for j in direct_succ[v] if hops.get(j) == hops[v] - 1]
+            cost = [(load.get(j, 0.0) + load[v]) / energy.get(j, math.inf) for j in closer]
+            tree[v] = j = closer[cost.index(min(cost))]
+            if j in load:
+                load[j] += load[v]
+    return tree
+
+
+def reference_lp_data(nodes, links, with_coop, crash_tree=reference_balanced_tree):
     """The lifetime LP solve_lifetime_lp hands to solve_lp, and its
-    starting basis."""
+    starting basis, made from crash_tree(nodes, links): each sensor's
+    next hop."""
     sensors = [n for n in nodes if not n.is_sink]
     row_of = {n.id: r for r, n in enumerate(sensors)}
     # (src, dst, helpers) per flow column: direct links, then coop links.
@@ -95,7 +128,7 @@ def reference_lp_data(nodes, links, with_coop):
     c = np.zeros(t_col + 1 + ns)
     c[t_col] = 1.0
     lp = StandardLP.from_triplets(key % (2 * ns), key // (2 * ns), vals, (2 * ns, len(c)), b, c)
-    tree = reference_min_hop_tree({n.id for n in nodes if n.is_sink}, links)
+    tree = crash_tree(nodes, links)
     column = {(i, j): k for k, (i, j, _h) in enumerate(flows[:n_direct])}
     basis = [column[(n.id, tree[n.id])] if n.id in tree else len(c) + r for r, n in enumerate(sensors)]
     return lp, basis + list(range(t_col + 1, t_col + 1 + ns))

@@ -312,6 +312,11 @@ class TestCli:
                 ["disk", "--density", "inf", "--mode", "ct"],
                 "wavelength and density must be positive and finite",
             ),
+            (["gain", "ct", "--alpha", "400"], "path-loss exponent must be at most 8, got 400"),
+            (["gain", "ct", "--alpha", "1e6"], "path-loss exponent must be at most 8, got 1e+06"),
+            (["disk", "--alpha", "1000"], "path-loss exponent must be at most 8, got 1000"),
+            # R^alpha past the float range
+            (["gain", "ct", "--radius", "1e100", "--dist", "1e200"], "noise*R^alpha/(4P) = inf > 1"),
         ],
     )
     def test_bad_input_is_one_error_line(self, tmp_path, snapshot_nodes, capsys, argv, message):
@@ -424,6 +429,26 @@ class TestCli:
         for command in ("lp", "simulate"):
             assert cli.main([command, "--topology", str(topo)]) == 1
             assert capsys.readouterr().err == "error: node ids must fit in 64 bits\n"
+
+    @pytest.mark.parametrize("field, k", [("energy", 39), ("energy", 40), ("rate", 40)])
+    @pytest.mark.parametrize("flags", [[], ["--no-coop"]])
+    def test_lp_plan_off_its_rows_is_an_error(self, tmp_path, capsys, field, k, flags):
+        # topo12 with sensor 1's battery or rate times 2^k, so that the
+        # other sensors' batteries or rates are about 1e-12 in the
+        # solver's units, where solve_lp reads an x below 1e-12 as 0.
+        # Unchecked, the plans read: lifetime 40.0 where 100/3 is right
+        # (battery 2^39); 40.0 with at most one flow (battery 2^40); the
+        # right lifetime in a plan of two flows (rate 2^40).
+        topo = json.loads((Path(__file__).parent / "golden" / "topo12.json").read_text())
+        node = next(v for v in topo["nodes"] if v["id"] == 1)
+        node[field] = math.ldexp(node[field], k)
+        path = tmp_path / "topo.json"
+        path.write_text(json.dumps(topo))
+        assert cli.main(["lp", "--topology", str(path), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: lifetime LP plan breaks sensor ")
+        assert captured.err.count("\n") == 1
 
     def test_fractional_rate_lp(self, tmp_path, capsys):
         # rate 0.4 is valid traffic for the LP: one hop, lifetime E / rate.

@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,7 +147,7 @@ class TestSolveLp:
         with pytest.raises(SimplexError, match="violates"):
             solve_lp(StandardLP(a=[[1.0, 1.0]], b=[5.0], c=[1.0, 0.0]))
 
-    def test_redundant_rows_dropped(self):
+    def test_redundant_rows_keep_the_optimum(self):
         # Appending combinations of existing rows leaves the LP unchanged.
         rng = np.random.default_rng(3)
         for trial in range(10):
@@ -499,7 +500,11 @@ def lifetime_lp(n, seed, monkeypatch, with_coop=True):
     """The lifetime LP and crash basis of an n-node topology at the
     bench's constant density."""
     nodes = harness.generate_topology(n, 100.0 * math.sqrt(n / 30.0), seed)
-    links = routing.build_links(nodes, harness.default_phy())
+    return lifetime_lp_of(nodes, routing.build_links(nodes, harness.default_phy()), monkeypatch, with_coop)
+
+
+def lifetime_lp_of(nodes, links, monkeypatch, with_coop):
+    """The lifetime LP and crash basis that solve_lifetime_lp solves."""
     captured = []
     with monkeypatch.context() as patch:
         patch.setattr(routing, "solve_lp", lambda lp, basis: captured.append((lp, basis)) or solve_lp(lp, basis))
@@ -577,7 +582,7 @@ class TestPivotOracles:
             y = rng.normal(size=m)
             assert np.array_equal(ours.price(y), theirs.price(y)[:n]), trial
 
-    def test_random_lps_solve_bit_for_bit(self):
+    def test_random_lps_solve_like_the_reference(self):
         rng = np.random.default_rng(2424)
         for trial in range(40):
             m = int(rng.integers(2, 8))
@@ -627,12 +632,12 @@ class TestPivotOracles:
                     certify(padded, got)
         assert len(statuses) >= 300 and {"optimal", "unbounded"} <= set(statuses)
 
-    def test_larger_random_lp_solves_bit_for_bit(self):
+    def test_larger_random_lps_solve_like_the_reference(self):
         rng = np.random.default_rng(77)
         for trial in range(3):
             assert_solves_like_reference(random_feasible_lp(rng, 25, 60))
 
-    def test_special_lps_solve_bit_for_bit(self):
+    def test_special_lps_solve_like_the_reference(self):
         got, _want = assert_solves_like_reference(CYCLING_LP)
         certify(CYCLING_LP, got)
         assert_solves_like_reference(StandardLP(a=[[1.0, 1.0], [1.0, 1.0]], b=[1.0, 2.0], c=[1.0, 0.0]))  # infeasible
@@ -642,7 +647,7 @@ class TestPivotOracles:
         assert certify(lp, got) == 1
 
     @pytest.mark.parametrize("n, seed", [(30, 1), (30, 2), (60, 1), (100, 1)])
-    def test_lifetime_lps_solve_bit_for_bit(self, monkeypatch, n, seed):
+    def test_lifetime_lps_solve_like_the_reference(self, monkeypatch, n, seed):
         # from the crash basis with and without coop links, and at n =
         # 30 from every artificial too; each in no more pivots than
         # Dantzig's rule takes
@@ -652,6 +657,17 @@ class TestPivotOracles:
                 got, want = assert_solves_like_reference(lp, start)
                 certify(lp, got)
                 assert got.phase1_pivots + got.phase2_pivots <= want.phase1_pivots + want.phase2_pivots
+
+    @pytest.mark.parametrize("topology", ["topo12.json", "topo12c.json", "topo12r.json", "topo14.json"])
+    def test_golden_topology_lps_pass_certify(self, monkeypatch, topology):
+        # the LPs behind the golden `wsnlife lp` outputs, solved from
+        # the crash basis, proved optimal in exact arithmetic (topo12c's
+        # no-coop optimum is 0: four sensors have no direct route)
+        nodes = harness.load_topology(str(Path(__file__).parent / "golden" / topology))
+        links = routing.build_links(nodes, harness.default_phy())
+        for with_coop in (False, True):
+            lp, basis = lifetime_lp_of(nodes, links, monkeypatch, with_coop)
+            certify(lp, solve_lp(lp, basis))
 
     def test_non_finite_reduced_cost_is_not_optimal(self):
         # y = c_B B^-1 is NaN on row 0, so no reduced cost is finite; a

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from routing_reference import reference_build_links, reference_lp_data
+from routing_reference import reference_build_links, reference_lp_data, reference_min_hop_tree
 
 from wsnlife import harness, routing
 from wsnlife.harness import generate_topology
@@ -521,6 +521,24 @@ class TestLifetimeLp:
         with pytest.raises(SimplexError, match=status):
             solve_lifetime_lp(snapshot_nodes, build_links(snapshot_nodes, phy))
 
+    @pytest.mark.parametrize("change", ["drop a flow", "double the plan"])
+    def test_plan_off_its_rows_raises(self, phy, snapshot_nodes, monkeypatch, change):
+        # Dropping a flow leaves its source's traffic unsent; doubling
+        # every flow and T keeps each balance but spends twice the
+        # battery of the nodes that set the lifetime.
+        def solve(lp, basis=None):
+            sol = solve_lp(lp, basis)
+            x = sol.x.copy()
+            if change == "drop a flow":
+                x[np.flatnonzero(x[: lp.c.argmax()])[0]] = 0.0
+            else:
+                x[: lp.c.argmax() + 1] *= 2.0
+            return replace(sol, x=x)
+
+        monkeypatch.setattr(routing, "solve_lp", solve)
+        with pytest.raises(SimplexError, match="flow balance or battery"):
+            solve_lifetime_lp(snapshot_nodes, build_links(snapshot_nodes, phy))
+
     def test_energy_scaling(self, phy, snapshot_nodes):
         links = build_links(snapshot_nodes, phy)
         base = solve_lifetime_lp(snapshot_nodes, links).lifetime
@@ -778,6 +796,31 @@ class TestCrashBasis:
         ((lp, _basis, crash),) = calls
         cold = solve_lp(lp)
         assert crash.phase1_pivots + crash.phase2_pivots < cold.phase1_pivots + cold.phase2_pivots
+
+    def test_balanced_tree_saves_pivots_on_the_seed1_pools(self, phy, monkeypatch, workloads):
+        # Every LP of the bench's seed-1 network and lp_scaling pools,
+        # from the load-balanced crash tree and from the lowest-id one
+        # built here.  Both reach one optimum.  Stated before the run:
+        # the balanced tree takes at least 15% fewer pivots in all, and
+        # at least 25% fewer at n = 100.
+        lps = [(nodes, build_links(nodes, phy), with_coop)
+               for ladder in workloads.Network(1).pool for nodes in ladder for with_coop in (False, True)]
+        lps += [(nodes, links, True) for ladder in workloads.LpScaling(1).pool for nodes, links in ladder]
+        pivots = {}  # n -> [lowest-id start, balanced start]
+        calls = capture_lps(monkeypatch)
+        for nodes, links, with_coop in lps:
+            solve_lifetime_lp(nodes, links, with_coop=with_coop)
+            ((lp, _basis, balanced),) = calls
+            calls.clear()
+            _lp, lowest_id_basis = reference_lp_data(solver_units(nodes), links, with_coop, reference_min_hop_tree)
+            lowest_id = solve_lp(lp, lowest_id_basis)
+            assert balanced.objective == pytest.approx(lowest_id.objective, rel=1e-13, abs=0.0)
+            count = pivots.setdefault(len(nodes), [0, 0])
+            for k, sol in enumerate((lowest_id, balanced)):
+                count[k] += sol.phase1_pivots + sol.phase2_pivots
+        (lowest_total, balanced_total) = np.sum(list(pivots.values()), axis=0)
+        assert balanced_total <= 0.85 * lowest_total, pivots
+        assert pivots[100][1] <= 0.75 * pivots[100][0], pivots
 
     def test_coop_only_sensor_takes_phase1(self, phy, monkeypatch):
         # Sensors 2 and 3 reach each other directly but the sink only
