@@ -7,10 +7,8 @@ caller passes.  Phase 1 runs only while an artificial is basic.  Only
 structural columns are priced, so an artificial never re-enters; one
 on a redundant row stays basic at zero.  The basis inverse is kept
 explicitly (dense, one rank-1 update per pivot, in place through one
-scratch array per phase); A is read only through its nonzeros,
-pricing from a table of each column's first four entries, and the
-ratio test scans only the rows whose ratio lies near the least one,
-yet picks the row a scan over every row picks.
+scratch array per phase); A is read only through its nonzeros, and
+pricing from a table of each column's first four entries.
 
 Steepest-edge pricing (Goldfarb and Reid, Math. Programming 12, 1977;
 Forrest and Goldfarb, Math. Programming 57, 1992): the entering column
@@ -19,15 +17,20 @@ gamma_j = 1 + |B^-1 a_j|^2.  Each phase computes gamma once and then
 updates it and the reduced costs d from each pivot row, and prices d
 afresh before it reports an optimum or an unbounded ray, and before
 each pivot under Bland's rule.  So a pivot costs O(n + nnz(A) + m^2)
-in a set number of numpy calls plus a Python loop over the near rows.
-A permanent switch to Bland's rule once a degeneracy streak is
-detected guarantees termination, and pivots are deterministic.  An optimal basis that does not solve the original
+in a set number of numpy calls.
+
+The ratio test is Bland's leaving rule with a tolerance band (Bland,
+Math. of OR 2, 1977; Harris, Math. Programming 5, 1973): among the rows
+with alpha > 1e-9 whose ratio x_B / alpha lies within 1e-12 of the
+least ratio, the row with the lowest basic id.  The choice does not
+depend on the order of the rows.  A permanent switch to Bland's rule
+once a degeneracy streak is detected guarantees termination, and pivots
+are deterministic.  An optimal basis that does not solve the original
 system to 1e-9 (relative to the largest |b|) raises SimplexError.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,7 +179,8 @@ class _Columns:
         """1 + |B^-1 a_j|^2 over the structural columns, as 1 + a_j^T M
         a_j with M = B^-T B^-1: the head table's 4 x 4 products of
         entries, then each long column's quadratic form in full.  M is
-        an np.einsum, which calls no BLAS."""
+        an np.einsum, which calls no BLAS.  Where B^-1 has large entries
+        the form can round below 0, so the weights are kept at least 1."""
         gram = np.einsum("ki,kj->ij", binv, binv)
         hr, hv = self.head_rows, self.head_vals
         w = np.ones(self.n)
@@ -186,7 +190,7 @@ class _Columns:
         for j, s, e in zip(self.long.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
             r, v = self.long_rows[s:e], self.long_vals[s:e]
             w[j] = 1.0 + np.einsum("i,ij,j->", v, gram[r[:, None], r], v)
-        return w
+        return np.maximum(w, 1.0, out=w)
 
     def column(self, binv: np.ndarray, j: int) -> np.ndarray:
         """B^-1 times structural column j."""
@@ -206,42 +210,13 @@ class _Columns:
 
 
 def _leaving_row(alpha: np.ndarray, x_b: np.ndarray, basis: np.ndarray) -> int:
-    """Minimum ratio over rows with alpha > tol; ties within 1e-12 go to
-    the lowest basic id.  One scan in row order keeps a best row and
-    replaces it with a row whose ratio is lower by more than 1e-12, or
-    within 1e-12 of it with a lower basic id.
-
-    The scan reads only the near rows: with r the least of the k ratios
-    and s = 1e-12 plus one ulp at 2|r| + 1, a step that covers the
-    rounding of each comparison in the band, a near row's ratio is at
-    most r + (k + 2) s.  The rows beyond cannot change the chosen row:
-
-    - A scanned row leaves the best at most s above its ratio, taken or
-      not, and each replacement raises the best by at most s.  Once the
-      least row is scanned the best stays at most r + k s, so no row
-      above r + (k + 1) s is taken after it.
-      Dropping a far row scanned after the least row changes nothing.
-    - Drop a far row F that the scan takes before the least row.  The
-      scan with F holds F, the one without it holds a best at least
-      F - s.  Until the two take the same row, a row that one takes and
-      the other does not lies at most s below the lesser best, so both
-      bests stay above r + 3 s until the least row, which both then
-      take, and from there the scans agree.  Rounding is monotone, so
-      bests above the band, where an ulp may exceed s, only stay higher.
-
-    Dropping the far rows one at a time thus keeps the chosen row."""
-    rows = (alpha > _PIVOT_TOL).nonzero()[0]
-    if not rows.size:
-        return -1
+    """Among the rows with alpha > _PIVOT_TOL whose ratio x_B / alpha
+    lies within 1e-12 of the least ratio, the row with the lowest basic
+    id; -1 if no row qualifies (so if every ratio is NaN)."""
+    rows = np.flatnonzero(alpha > _PIVOT_TOL)
     ratios = x_b[rows] / alpha[rows]
-    low = float(np.fmin.reduce(ratios))  # NaN ratios are never taken
-    near = ratios <= low + (len(rows) + 2) * (1e-12 + math.ulp(2 * abs(low) + 1.0))
-    rows, ratios = rows[near], ratios[near]
-    best_row, best_ratio, best_id = -1, np.inf, -1
-    for i, ratio, j in zip(rows.tolist(), ratios.tolist(), basis[rows].tolist()):
-        if ratio < best_ratio - 1e-12 or (abs(ratio - best_ratio) <= 1e-12 and j < best_id):
-            best_row, best_ratio, best_id = i, ratio, j
-    return best_row
+    tied = rows[ratios - np.fmin.reduce(ratios, initial=np.inf) <= 1e-12]
+    return int(tied[basis[tied].argmin()]) if tied.size else -1
 
 
 def _exchange(binv, x_b, basis, alpha, scratch, row, col) -> float:

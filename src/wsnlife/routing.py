@@ -275,22 +275,22 @@ def solve_lifetime_lp(
     network has no sink, or when no sensor has a positive rate, where
     the lifetime is unbounded, and SimplexError when the solver does
     not report an optimum, or when the plan breaks a sensor's flow
-    balance or battery (see below).  Two nodes with one id raise
-    ValueError, as in build_links.
+    balance or battery or lasts less than the min-hop tree (see below).
+    Two nodes with one id raise ValueError, as in build_links.  Sensor
+    rows go in id order, so the plan does not depend on the node order.
     """
     _check_ids(nodes)
     if not any(n.is_sink for n in nodes):
         raise ValueError("network has no sink")
-    sensors = [n for n in nodes if not n.is_sink]
+    sensors = sorted((n for n in nodes if not n.is_sink), key=lambda n: n.id)
     if not any(n.rate > 0 for n in sensors):
         raise ValueError("no sensor has a positive rate, so the lifetime is unbounded")
     ns = len(sensors)
-    by_id = np.argsort([n.id for n in sensors])
-    ranked = np.array([sensors[r].id for r in by_id], dtype=np.int64)
+    ids = np.array([n.id for n in sensors], dtype=np.int64)
 
     def row_of(v):  # sensor row of each id in v, -1 for any other id
-        at = np.minimum(ranked.searchsorted(v), ns - 1)
-        return np.where(ranked[at] == v, by_id[at], -1)
+        at = np.minimum(ids.searchsorted(v), ns - 1)
+        return np.where(ids[at] == v, at, -1)
 
     # Flow columns: the direct links out of sensors, then the coop
     # links out of sensors, each in (src, dst) order.
@@ -308,9 +308,8 @@ def solve_lifetime_lp(
     hr = row_of(links.helpers[np.repeat(coop_col, counts)])
     if (hr < 0).any():
         raise ValueError("a cooperative link has a helper that is not a sensor")
-    hr += ns
     k, r, into = np.arange(t_col), np.arange(ns), dst >= 0
-    rows = np.concatenate([src, ns + src, dst[into], hr, r, ns + r])
+    rows = np.concatenate([src, ns + src, dst[into], ns + hr, r, ns + r])
     cols = np.concatenate([k, k, k[into], hk, np.full(ns, t_col), t_col + 1 + r])
     # Solve in units where the largest energy and the largest rate lie
     # in [0.5, 1).  Scaling by powers of two is exact, so scaling every
@@ -320,9 +319,7 @@ def solve_lifetime_lp(
     r_exp = math.frexp(max(n.rate for n in sensors))[1]
     rate = np.array([math.ldexp(n.rate, -r_exp) for n in sensors])
     energy = np.array([math.ldexp(n.energy, -e_exp) for n in sensors])
-    vals = np.concatenate([
-        np.ones(2 * t_col), -np.ones(into.sum()), np.ones(len(hk)), -rate, np.ones(ns),
-    ])
+    vals = np.concatenate([np.ones(2 * t_col), -np.ones(into.sum()), np.ones(len(hk)), -rate, np.ones(ns)])
     key, at = np.unique(cols * (2 * ns) + rows, return_inverse=True)
     vals = np.bincount(at.ravel(), vals, len(key))
     b = np.concatenate([np.zeros(ns), energy])
@@ -335,11 +332,11 @@ def solve_lifetime_lp(
     # and x_B = (0, E) >= 0.  T enters first and pushes each rate along
     # the tree, so a tree that spreads the load starts nearer the
     # optimum's balanced flows than the lowest-id one.
-    ids = [n.id for n in sensors]
     layers = _min_hop_layers({n.id for n in nodes if n.is_sink}, links)
-    tree = _balanced_tree(layers, links, dict(zip(ids, rate.tolist())), dict(zip(ids, energy.tolist())))
+    energy_of = dict(zip(ids.tolist(), energy.tolist()))
+    tree, load = _balanced_tree(layers, links, dict(zip(ids.tolist(), rate.tolist())), energy_of)
     column = (np.cumsum(direct_col) - 1).tolist()  # of each direct link out of a sensor
-    basis = [column[tree[i]] if i in tree else len(c) + r for r, i in enumerate(ids)]
+    basis = [column[tree[i]] if i in tree else len(c) + r for r, i in enumerate(ids.tolist())]
     sol = solve_lp(lp, basis + list(range(t_col + 1, t_col + 1 + ns)))
     # x = 0, T = 0 with every slack at its energy is feasible, and a
     # positive rate bounds T, so any other status is a solver fault
@@ -353,30 +350,33 @@ def solve_lifetime_lp(
     x = np.where(sol.x[:t_col] > 0.0, sol.x[:t_col], 0.0)
     sent = np.bincount(src, x, ns)
     due = rate * sol.x[t_col] + np.bincount(dst[into], x[into], ns)
-    used = sent + np.bincount(hr - ns, x[hk], ns)
+    # Each sensor's energy use: each column's transmitter, then its
+    # helpers, added up in column order.
+    by_col = np.argsort(np.concatenate([k, hk]), kind="stable")
+    used = np.bincount(np.concatenate([src, hr])[by_col], np.concatenate([x, x[hk]])[by_col], ns)
     broken = np.flatnonzero(~(np.abs(sent - due) <= 1e-6 * due) | ~(used <= energy + 1e-6 * energy))
     if broken.size:
         raise SimplexError(
             f"lifetime LP plan breaks sensor {ids[broken[0]]}'s flow balance or battery by more than "
             "1e-6 relative (energies or rates may span too wide a range)"
         )
+    # The tree's flow, load_i T on sensor i's edge, is feasible up to T
+    # = min E_i / load_i, so an optimum more than 1e-6 relative below it
+    # is a solver fault.  A sensor with a load but no tree edge (it
+    # reaches the sinks only over coop links, or not at all) leaves no
+    # such bound, so there a wrong optimum can still pass.
+    tree_life = min(energy_of[i] / q if i in tree else 0.0 for i, q in load.items() if q > 0)
+    if sol.x[t_col] < tree_life * (1.0 - 1e-6):
+        raise SimplexError(
+            "lifetime LP optimum lies below the min-hop tree's (energies or rates may span too wide a range)"
+        )
 
-    flows = np.ldexp(sol.x[:t_col], e_exp)  # back in energy units
-    qhat: dict[tuple[int, int, bool], float] = {}
-    energy_used = {n.id: 0.0 for n in nodes}
-    coop_links = np.flatnonzero(coop_col).tolist()
-    for k in np.flatnonzero(flows > 0.0).tolist():
-        i, j = pairs[:, k].tolist()
-        q = float(flows[k])
-        qhat[(i, j, k >= n_direct)] = q
-        energy_used[i] += q
-        for h in links.helpers_of(coop_links[k - n_direct]) if k >= n_direct else ():
-            energy_used[h] += q
-    return FlowSolution(
-        qhat=qhat,
-        lifetime=math.ldexp(float(sol.x[t_col]), e_exp - r_exp),
-        energy_used=energy_used,
-    )
+    flows = np.ldexp(x, e_exp)  # back in energy units
+    on = np.flatnonzero(flows > 0.0).tolist()
+    qhat = {(i, j, k >= n_direct): q for k, i, j, q in zip(on, *pairs[:, on].tolist(), flows[on].tolist())}
+    energy_used = dict.fromkeys((n.id for n in nodes), 0.0)
+    energy_used.update(zip(ids.tolist(), np.ldexp(used, e_exp).tolist()))
+    return FlowSolution(qhat, math.ldexp(float(sol.x[t_col]), e_exp - r_exp), energy_used)
 
 
 def dynamic_cost(initial: float, remaining: float, beta: float) -> float:
@@ -598,7 +598,7 @@ def _min_hop_tree(sinks: set[int], links: LinkSet) -> dict[int, int]:
 
 def _balanced_tree(
     layers: list[dict[int, list[int]]], links: LinkSet, rate: dict[int, float], energy: dict[int, float]
-) -> dict[int, int]:
+) -> tuple[dict[int, int], dict[int, float]]:
     """Tree edge of every sensor in the min-hop layers, as its column in
     links.direct_pairs, chosen to spread the load: from the farthest
     layer inward, each sensor in ascending id order sends its traffic,
@@ -606,7 +606,8 @@ def _balanced_tree(
     successor one hop closer whose (traffic already through it + this
     traffic) / energy is least, the lowest id on ties.  rate and energy
     map each sensor's id to its own; any other node, a sink say, costs
-    nothing to reach, as it has no energy row."""
+    nothing to reach, as it has no energy row.  Returns the tree and
+    each sensor's load, its traffic through the tree."""
     target = links.direct_pairs[1].tolist()
     load = dict(rate)
     tree: dict[int, int] = {}
@@ -618,7 +619,7 @@ def _balanced_tree(
             tree[i] = min(cols, key=lambda k: (load.get(target[k], 0.0) + t) / energy.get(target[k], math.inf))
             if target[tree[i]] in load:
                 load[target[tree[i]]] += t
-    return tree
+    return tree, load
 
 
 def shortest_path_lifetime(nodes: list[SensorNode], links: LinkSet) -> float:
@@ -642,11 +643,7 @@ def shortest_path_lifetime(nodes: list[SensorNode], links: LinkSet) -> float:
         while v in tree:
             spend[v] += node.rate
             v = tree[v]
-    lifetimes = [
-        nodes_by.energy / spend[nodes_by.id]
-        for nodes_by in nodes
-        if spend[nodes_by.id] > 0
-    ]
+    lifetimes = [n.energy / spend[n.id] for n in nodes if spend[n.id] > 0]
     if not lifetimes:
         raise NoRouteError("no node transmits anything")
     return min(lifetimes)

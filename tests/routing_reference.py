@@ -102,8 +102,8 @@ def reference_balanced_tree(nodes, links) -> dict[int, int]:
 def reference_lp_data(nodes, links, with_coop, crash_tree=reference_balanced_tree):
     """The lifetime LP solve_lifetime_lp hands to solve_lp, and its
     starting basis, made from crash_tree(nodes, links): each sensor's
-    next hop."""
-    sensors = [n for n in nodes if not n.is_sink]
+    next hop.  The sensor rows are in ascending id order."""
+    sensors = sorted((n for n in nodes if not n.is_sink), key=lambda n: n.id)
     row_of = {n.id: r for r, n in enumerate(sensors)}
     # (src, dst, helpers) per flow column: direct links, then coop links.
     flows = [(i, j, ()) for (i, j) in sorted(links.direct) if i in row_of]

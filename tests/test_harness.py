@@ -450,6 +450,23 @@ class TestCli:
         assert captured.err.startswith("error: lifetime LP plan breaks sensor ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("k", [41, 59])
+    @pytest.mark.parametrize("flags", [[], ["--no-coop"]])
+    def test_lp_below_the_tree_is_an_error(self, tmp_path, capsys, k, flags):
+        # topo12 with sensor 1's battery times 2^k: the LP's optimum
+        # reads 0.0 with an empty plan, which balances every row, and
+        # the load-balanced min-hop tree gives a lower bound above it
+        topo = json.loads((Path(__file__).parent / "golden" / "topo12.json").read_text())
+        node = next(v for v in topo["nodes"] if v["id"] == 1)
+        node["energy"] = math.ldexp(node["energy"], k)
+        path = tmp_path / "topo.json"
+        path.write_text(json.dumps(topo))
+        assert cli.main(["lp", "--topology", str(path), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: lifetime LP optimum lies below the min-hop tree's ")
+        assert captured.err.count("\n") == 1
+
     def test_fractional_rate_lp(self, tmp_path, capsys):
         # rate 0.4 is valid traffic for the LP: one hop, lifetime E / rate.
         topo = tmp_path / "topo.json"

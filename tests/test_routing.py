@@ -539,6 +539,31 @@ class TestLifetimeLp:
         with pytest.raises(SimplexError, match="flow balance or battery"):
             solve_lifetime_lp(snapshot_nodes, build_links(snapshot_nodes, phy))
 
+    def test_optimum_below_the_tree_raises(self, phy, snapshot_nodes, monkeypatch):
+        # Halving every flow and T keeps each balance and battery, but
+        # the load-balanced min-hop tree alone lasts longer than that.
+        def solve(lp, basis=None):
+            sol = solve_lp(lp, basis)
+            x = sol.x.copy()
+            x[: lp.c.argmax() + 1] *= 0.5
+            return replace(sol, x=x)
+
+        monkeypatch.setattr(routing, "solve_lp", solve)
+        with pytest.raises(SimplexError, match="below the min-hop tree's"):
+            solve_lifetime_lp(snapshot_nodes, build_links(snapshot_nodes, phy))
+
+    @pytest.mark.parametrize("with_coop", [False, True])
+    @pytest.mark.parametrize("k", [41, 50, 59, 80])
+    @pytest.mark.parametrize("sensor", [1, 5, 9])
+    def test_wide_battery_below_the_tree_raises(self, phy, sensor, k, with_coop):
+        # topo12 with one battery times 2^k: the other batteries fall
+        # below 1e-12 in the solver's units, and the LP's optimum reads
+        # 0.0 with an empty plan, which keeps every balance
+        nodes = [replace(v, energy=math.ldexp(v.energy, k)) if v.id == sensor else v
+                 for v in harness.load_topology(str(GOLDEN / "topo12.json"))]
+        with pytest.raises(SimplexError, match="below the min-hop tree's"):
+            solve_lifetime_lp(nodes, build_links(nodes, phy), with_coop=with_coop)
+
     def test_energy_scaling(self, phy, snapshot_nodes):
         links = build_links(snapshot_nodes, phy)
         base = solve_lifetime_lp(snapshot_nodes, links).lifetime
