@@ -25,8 +25,10 @@ with alpha > 1e-9 whose ratio x_B / alpha lies within 1e-12 of the
 least ratio, the row with the lowest basic id.  The choice does not
 depend on the order of the rows.  A permanent switch to Bland's rule
 once a degeneracy streak is detected guarantees termination, and pivots
-are deterministic.  An optimal basis that does not solve the original
-system to 1e-9 (relative to the largest |b|) raises SimplexError.
+are deterministic.  The returned x is >= 0 exactly: entries below
+1e-12 read 0.  An optimal basis with an entry below -1e-9 (relative to
+the largest |b|), or that misses a row of A x = b by more than 1e-9 of
+that row's own scale, |b_k| + sum_j |a_kj x_j|, raises SimplexError.
 """
 
 from __future__ import annotations
@@ -346,15 +348,16 @@ def solve_lp(lp: StandardLP, basis=None) -> LPSolution:
     if status == "unbounded":
         return LPSolution(x=np.zeros(n), objective=float("inf"), status="unbounded", **counters)
 
-    x = np.zeros(n + m)
-    x[basis] = x_b
-    x = x[:n]
-    x[np.abs(x) < 1e-12] = 0.0
+    x = np.bincount(basis, x_b, n + m)[:n]
     # B^-1 is updated in place through both phases, so rounding can
-    # leave a basis that no longer solves the original system.  A NaN
-    # violation fails the test too.
-    residual = np.bincount(lp.rows, lp.vals * x[lp.cols], m) - lp.b
-    violation = max(np.abs(residual).max(initial=0.0), -x.min(initial=0.0))
-    if not violation <= 1e-9 * (1.0 + np.abs(lp.b).max(initial=0.0)):
-        raise SimplexError(f"final basis violates A x = b, x >= 0 by {violation:.3g}")
+    # leave a basis that no longer solves A x = b.  Each row is checked
+    # at its own scale once x below 1e-12 reads 0; a NaN fails a test.
+    if not x.min(initial=0.0) >= -1e-9 * (1.0 + np.abs(lp.b).max(initial=0.0)):
+        raise SimplexError(f"final basis violates x >= 0 by {-x.min():.3g}")
+    x[x < 1e-12] = 0.0
+    terms = lp.vals * x[lp.cols]
+    residual = np.abs(np.bincount(lp.rows, terms, m) - lp.b)
+    off = np.flatnonzero(~(residual <= 1e-9 * (np.abs(lp.b) + np.bincount(lp.rows, np.abs(terms), m))))
+    if off.size:
+        raise SimplexError(f"final basis violates row {off[0]} of A x = b by {residual[off[0]]:.3g}")
     return LPSolution(x=x, objective=float(lp.c @ x), status="optimal", **counters)

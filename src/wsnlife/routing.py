@@ -274,10 +274,11 @@ def solve_lifetime_lp(
     transmitter and one at each helper.  Raises ValueError when the
     network has no sink, or when no sensor has a positive rate, where
     the lifetime is unbounded, and SimplexError when the solver does
-    not report an optimum, or when the plan breaks a sensor's flow
-    balance or battery or lasts less than the min-hop tree (see below).
-    Two nodes with one id raise ValueError, as in build_links.  Sensor
-    rows go in id order, so the plan does not depend on the node order.
+    not report an optimum, or one that lasts less than the min-hop tree
+    (see below).  A sensor with traffic and no route gives lifetime 0
+    with no flow and no LP solved.  Two nodes with one id raise
+    ValueError, as in build_links.  Sensor rows go in id order, so the
+    plan does not depend on the node order.
     """
     _check_ids(nodes)
     if not any(n.is_sink for n in nodes):
@@ -332,9 +333,17 @@ def solve_lifetime_lp(
     # and x_B = (0, E) >= 0.  T enters first and pushes each rate along
     # the tree, so a tree that spreads the load starts nearer the
     # optimum's balanced flows than the lowest-id one.
-    layers = _min_hop_layers({n.id for n in nodes if n.is_sink}, links)
+    layers = _min_hop_layers({n.id for n in nodes if n.is_sink}, links.direct_pairs)
     energy_of = dict(zip(ids.tolist(), energy.tolist()))
     tree, load = _balanced_tree(layers, links, dict(zip(ids.tolist(), rate.tolist())), energy_of)
+    # The rows of sensors with no column out of their set add up to
+    # -(their rates) T = 0, so a sensor with traffic and no route out of
+    # the sensor set pins T to 0.  Only one off the tree can have none.
+    stranded = {n.id for n in sensors if n.rate > 0 and n.id not in tree}
+    if stranded:  # walk the columns back from their targets outside the sensor set
+        routed = _min_hop_layers(set(pairs[1, dst < 0].tolist()), pairs)
+        if not stranded <= {i for layer in routed for i in layer}:
+            return FlowSolution({}, 0.0, dict.fromkeys((n.id for n in nodes), 0.0))
     column = (np.cumsum(direct_col) - 1).tolist()  # of each direct link out of a sensor
     basis = [column[tree[i]] if i in tree else len(c) + r for r, i in enumerate(ids.tolist())]
     sol = solve_lp(lp, basis + list(range(t_col + 1, t_col + 1 + ns)))
@@ -342,29 +351,16 @@ def solve_lifetime_lp(
     # positive rate bounds T, so any other status is a solver fault
     if sol.status != "optimal":
         raise SimplexError(f"lifetime LP reported {sol.status} (internal bug)")
-    # The plan as printed must carry every sensor's traffic, out - in =
-    # r_i T to 1e-6 of r_i T plus the inflow, within its battery to 1e-6
-    # of it.  solve_lp's check is absolute at the scale of the largest
-    # energy, so it passes a sensor whose rate or battery is within
-    # about 1e-12 of that scale, where a flow of x < 1e-12 reads as 0.
-    x = np.where(sol.x[:t_col] > 0.0, sol.x[:t_col], 0.0)
-    sent = np.bincount(src, x, ns)
-    due = rate * sol.x[t_col] + np.bincount(dst[into], x[into], ns)
     # Each sensor's energy use: each column's transmitter, then its
     # helpers, added up in column order.
+    x = sol.x[:t_col]
     by_col = np.argsort(np.concatenate([k, hk]), kind="stable")
     used = np.bincount(np.concatenate([src, hr])[by_col], np.concatenate([x, x[hk]])[by_col], ns)
-    broken = np.flatnonzero(~(np.abs(sent - due) <= 1e-6 * due) | ~(used <= energy + 1e-6 * energy))
-    if broken.size:
-        raise SimplexError(
-            f"lifetime LP plan breaks sensor {ids[broken[0]]}'s flow balance or battery by more than "
-            "1e-6 relative (energies or rates may span too wide a range)"
-        )
-    # The tree's flow, load_i T on sensor i's edge, is feasible up to T
-    # = min E_i / load_i, so an optimum more than 1e-6 relative below it
-    # is a solver fault.  A sensor with a load but no tree edge (it
-    # reaches the sinks only over coop links, or not at all) leaves no
-    # such bound, so there a wrong optimum can still pass.
+    # solve_lp checked the plan row by row.  A wrong optimum whose plan
+    # solves every row is caught here: the tree's flow, load_i T on
+    # sensor i's edge, is feasible up to T = min E_i / load_i.  A sensor
+    # with a load but no tree edge (it reaches the sinks only over coop
+    # links) leaves no such bound.
     tree_life = min(energy_of[i] / q if i in tree else 0.0 for i, q in load.items() if q > 0)
     if sol.x[t_col] < tree_life * (1.0 - 1e-6):
         raise SimplexError(
@@ -561,16 +557,16 @@ def simulate_dynamic(
                 delivered += 1
 
 
-def _min_hop_layers(sinks: set[int], links: LinkSet) -> list[dict[int, list[int]]]:
-    """The nodes that reach the sink set over direct links, by hop
-    count: layer h maps each non-sink node h + 1 hops from it, in
-    ascending id order, to the columns of links.direct_pairs of its
+def _min_hop_layers(sinks: set[int], pairs: np.ndarray) -> list[dict[int, list[int]]]:
+    """The nodes that reach the sink set over the (src, dst) links in
+    the columns of pairs, by hop count: layer h maps each non-sink node
+    h + 1 hops from it, in ascending id order, to the columns of its
     links into layer h - 1 (the sinks, for h = 0), in ascending target
-    order.  A BFS from the sinks over reversed direct links, one layer
-    at a time in ascending id order."""
-    by_dst = np.lexsort(links.direct_pairs)  # by target, then source
-    dst = links.direct_pairs[1, by_dst]
-    src, by_dst = links.direct_pairs[0, by_dst].tolist(), by_dst.tolist()
+    order.  A BFS from the sinks over reversed links, one layer at a
+    time in ascending id order."""
+    by_dst = np.lexsort(pairs)  # by target, then source
+    dst = pairs[1, by_dst]
+    src, by_dst = pairs[0, by_dst].tolist(), by_dst.tolist()
     layers: list[dict[int, list[int]]] = []
     seen, frontier = set(sinks), sorted(sinks)
     while True:
@@ -593,7 +589,7 @@ def _min_hop_tree(sinks: set[int], links: LinkSet) -> dict[int, int]:
     """Tree edge of every non-sink node that reaches a sink over direct
     links, as its column in links.direct_pairs: the link to its
     lowest-id direct successor one hop closer to the sink set."""
-    return {i: cols[0] for layer in _min_hop_layers(sinks, links) for i, cols in layer.items()}
+    return {i: cols[0] for layer in _min_hop_layers(sinks, links.direct_pairs) for i, cols in layer.items()}
 
 
 def _balanced_tree(

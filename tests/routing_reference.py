@@ -99,6 +99,20 @@ def reference_balanced_tree(nodes, links) -> dict[int, int]:
     return tree
 
 
+def reference_no_route(nodes, links, with_coop) -> bool:
+    """Whether a sensor with a positive rate has no route over the
+    lifetime LP's flows (links out of sensors, coop links too if
+    with_coop) to a target that is not a sensor."""
+    sensors = {n.id for n in nodes if not n.is_sink}
+    arcs = [(i, j) for (i, j) in links.direct if i in sensors]
+    if with_coop:
+        arcs += [(i, j) for (i, j) in links.coop if i in sensors]
+    routed = {j for _i, j in arcs if j not in sensors}
+    while new := {i for i, j in arcs if j in routed and i not in routed}:
+        routed |= new
+    return any(n.rate > 0 and n.id not in routed for n in nodes if not n.is_sink)
+
+
 def reference_lp_data(nodes, links, with_coop, crash_tree=reference_balanced_tree):
     """The lifetime LP solve_lifetime_lp hands to solve_lp, and its
     starting basis, made from crash_tree(nodes, links): each sensor's

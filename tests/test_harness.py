@@ -438,7 +438,8 @@ class TestCli:
         # solver's units, where solve_lp reads an x below 1e-12 as 0.
         # Unchecked, the plans read: lifetime 40.0 where 100/3 is right
         # (battery 2^39); 40.0 with at most one flow (battery 2^40); the
-        # right lifetime in a plan of two flows (rate 2^40).
+        # right lifetime in a plan of two flows (rate 2^40).  solve_lp
+        # finds a row that the plan misses at that row's own scale.
         topo = json.loads((Path(__file__).parent / "golden" / "topo12.json").read_text())
         node = next(v for v in topo["nodes"] if v["id"] == 1)
         node[field] = math.ldexp(node[field], k)
@@ -447,15 +448,16 @@ class TestCli:
         assert cli.main(["lp", "--topology", str(path), *flags]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: lifetime LP plan breaks sensor ")
+        assert captured.err.startswith("error: final basis violates row ")
         assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("k", [41, 59])
     @pytest.mark.parametrize("flags", [[], ["--no-coop"]])
     def test_lp_below_the_tree_is_an_error(self, tmp_path, capsys, k, flags):
         # topo12 with sensor 1's battery times 2^k: the LP's optimum
-        # reads 0.0 with an empty plan, which balances every row, and
-        # the load-balanced min-hop tree gives a lower bound above it
+        # reads 0.0 with an empty plan, below the load-balanced min-hop
+        # tree's lifetime; solve_lp refuses it first, as the other
+        # batteries' rows lie below its resolution and read 0
         topo = json.loads((Path(__file__).parent / "golden" / "topo12.json").read_text())
         node = next(v for v in topo["nodes"] if v["id"] == 1)
         node["energy"] = math.ldexp(node["energy"], k)
@@ -464,7 +466,7 @@ class TestCli:
         assert cli.main(["lp", "--topology", str(path), *flags]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: lifetime LP optimum lies below the min-hop tree's ")
+        assert captured.err.startswith("error: final basis violates row ")
         assert captured.err.count("\n") == 1
 
     def test_fractional_rate_lp(self, tmp_path, capsys):

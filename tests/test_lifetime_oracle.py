@@ -97,10 +97,10 @@ def test_matches_highs_off_the_direct_tree(phy, seed):
         assert_feasible_flows(nodes, links, sol)
 
 
-# The solve starts with no flow and T = 0, and a pivot that moves x
-# raises T, so an optimum of 0 leaves every flow at 0.  The first is
+# A sensor with traffic and no route pins the lifetime to 0, which
+# comes back with no flow and no energy used.  The first is
 # tests/golden/topo12c.json; in the other two a sensor has no route even
-# with coop links, and the last takes a degenerate phase-2 pivot.
+# with coop links.
 @pytest.mark.parametrize(
     "n, field, seed, energy, with_coop",
     [(12, 110.0, 13, 40.0, False), (30, 160.0, 60, 1.0, True), (30, 160.0, 102, 1.0, True)],
@@ -310,9 +310,10 @@ def test_one_wide_battery_or_rate_moves_the_lifetime_one_way(phy, seed1_pool, fi
     assert raised > 0
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "topo12c's sensors 3, 6, 9 and 10 reach the sink only over coop links, so no min-hop tree "
-    "bound checks the optimum: with sensor 1's battery times 2^41 and more it reads 0.0"))
 def test_one_wide_battery_beside_coop_only_sensors(phy):
+    # topo12c's sensors 3, 6, 9 and 10 reach the sink only over coop
+    # links, so no min-hop tree bound checks the optimum; with sensor
+    # 1's battery times 2^41 and more the LP reads 0.0, and solve_lp
+    # refuses it, as the other batteries' rows lie below its resolution.
     base, lifetimes = wide_lifetimes(phy, load_topology(str(GOLDEN / "topo12c.json")), "energy", True)
     assert all(t is None or t >= base for t in lifetimes)

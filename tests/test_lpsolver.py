@@ -85,6 +85,7 @@ class TestSolveLp:
             oracle = enumerate_vertices(lp)
             assert sol.status == "optimal", trial
             assert sol.objective == pytest.approx(oracle, abs=1e-7), trial
+            assert (sol.x >= 0.0).all(), trial
 
     def test_feasibility_residual(self):
         rng = np.random.default_rng(7)
@@ -92,7 +93,7 @@ class TestSolveLp:
         sol = solve_lp(lp)
         residual = np.abs(lp.a @ sol.x - lp.b).max()
         assert residual <= 1e-7 * (1.0 + np.abs(lp.b).max())
-        assert (sol.x >= -1e-9).all()
+        assert (sol.x >= 0.0).all()
         assert sol.objective == pytest.approx(float(lp.c @ sol.x), abs=1e-12)
 
     def test_deterministic(self):
@@ -146,6 +147,29 @@ class TestSolveLp:
         monkeypatch.setattr(lpsolver, "_iterate", poisoned)
         with pytest.raises(SimplexError, match="violates"):
             solve_lp(StandardLP(a=[[1.0, 1.0]], b=[5.0], c=[1.0, 0.0]))
+
+    def test_row_below_the_resolution_raises(self):
+        # x2 = 1e-13 lies below the 1e-12 resolution and reads 0, which
+        # misses its row by all of that row's scale; an absolute test at
+        # the scale of the largest |b| would return x2 = 0.
+        lp = StandardLP(a=[[1.0, 0.0], [0.0, 1.0]], b=[1.0, 1e-13], c=[1.0, 1.0])
+        with pytest.raises(SimplexError, match="violates row 1 "):
+            solve_lp(lp)
+
+    def test_small_row_missed_by_all_of_it_raises(self, monkeypatch):
+        # x2 = 2e-10 where its row asks for 1e-10: off by 1e-10, well
+        # within 1e-9 of the largest |b|, but 100% of the row itself.
+        iterate = lpsolver._iterate
+
+        def drifting(a, cost, binv, x_b, basis, max_iters):
+            result = iterate(a, cost, binv, x_b, basis, max_iters)
+            x_b[basis == 1] *= 2.0
+            return result
+
+        monkeypatch.setattr(lpsolver, "_iterate", drifting)
+        lp = StandardLP(a=[[1.0, 0.0], [0.0, 1.0]], b=[1.0, 1e-10], c=[1.0, 1.0])
+        with pytest.raises(SimplexError, match="violates row 1 "):
+            solve_lp(lp, [0, 1])
 
     def test_redundant_rows_keep_the_optimum(self):
         # Appending combinations of existing rows leaves the LP unchanged.
@@ -519,9 +543,9 @@ def assert_ratio_test(args, label):
 
 def assert_solves_like_reference(lp, basis=None):
     """The reference solver's status, and its objective to 1e-12
-    relative; returns both solutions."""
+    relative, with no negative entry in x; returns both solutions."""
     got, want = solve_lp(lp, basis), reference.solve_lp(lp, basis)
-    assert got.status == want.status
+    assert got.status == want.status and (got.x >= 0.0).all()
     if want.status == "optimal":
         assert abs(got.objective - want.objective) <= 1e-12 * abs(want.objective)
     else:
@@ -537,12 +561,13 @@ def lifetime_lp(n, seed, monkeypatch, with_coop=True):
 
 
 def lifetime_lp_of(nodes, links, monkeypatch, with_coop):
-    """The lifetime LP and crash basis that solve_lifetime_lp solves."""
+    """The lifetime LP and crash basis that solve_lifetime_lp solves,
+    or None where it answers lifetime 0 without solving one."""
     captured = []
     with monkeypatch.context() as patch:
         patch.setattr(routing, "solve_lp", lambda lp, basis: captured.append((lp, basis)) or solve_lp(lp, basis))
         routing.solve_lifetime_lp(nodes, links, with_coop=with_coop)
-    return captured[0]
+    return captured[0] if captured else None
 
 
 class TestPivotOracles:
@@ -697,12 +722,14 @@ class TestPivotOracles:
     @pytest.mark.parametrize("topology", ["topo12.json", "topo12c.json", "topo12r.json", "topo14.json"])
     def test_golden_topology_lps_pass_certify(self, monkeypatch, topology):
         # the LPs behind the golden `wsnlife lp` outputs, solved from
-        # the crash basis, proved optimal in exact arithmetic (topo12c's
-        # no-coop optimum is 0: four sensors have no direct route)
+        # the crash basis, proved optimal in exact arithmetic; one is
+        # skipped, topo12c without coop links, whose lifetime is 0 with
+        # no LP solved, as four sensors with traffic have no route
         nodes = harness.load_topology(str(Path(__file__).parent / "golden" / topology))
         links = routing.build_links(nodes, harness.default_phy())
-        for with_coop in (False, True):
-            lp, basis = lifetime_lp_of(nodes, links, monkeypatch, with_coop)
+        solved = [lifetime_lp_of(nodes, links, monkeypatch, with_coop) for with_coop in (False, True)]
+        assert solved.count(None) == (topology == "topo12c.json")
+        for lp, basis in filter(None, solved):
             certify(lp, solve_lp(lp, basis))
 
     def test_non_finite_reduced_cost_is_not_optimal(self):
