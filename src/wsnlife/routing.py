@@ -12,7 +12,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections.abc import Mapping, Set
 from dataclasses import InitVar, dataclass, field, fields
 
 import numpy as np
@@ -62,10 +61,9 @@ class LinkSet:
     """Directed direct links plus cooperative links (src, dst) ->
     helper tuple, held as integer arrays sorted by (src, dst).
 
-    direct and coop are the constructor's arguments.  Reading them
-    back gives a read-only Set and Mapping view over the arrays, equal
-    to the frozenset and dict passed in, so that no Python object per
-    link is kept.  direct_pairs and
+    direct and coop are the constructor's arguments.  Each read of
+    them builds a new frozenset and dict from the arrays, equal to the
+    ones passed in; no Python object per link is kept.  direct_pairs and
     coop_pairs hold sources in row 0 and targets in row 1; coop link
     k's helpers are helpers[helper_start[k]:helper_start[k + 1]].
     Two link sets are equal when their links are.
@@ -102,12 +100,13 @@ class LinkSet:
         return self
 
     @property
-    def direct(self) -> Set[tuple[int, int]]:
-        return _DirectView(self, self.direct_pairs)
+    def direct(self) -> frozenset[tuple[int, int]]:
+        return frozenset(zip(*self.direct_pairs.tolist()))
 
     @property
-    def coop(self) -> Mapping[tuple[int, int], tuple[int, ...]]:
-        return _CoopView(self, self.coop_pairs)
+    def coop(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        helpers, start = self.helpers.tolist(), self.helper_start.tolist()
+        return {pair: tuple(helpers[a:b]) for pair, a, b in zip(zip(*self.coop_pairs.tolist()), start, start[1:])}
 
     def __eq__(self, other):
         if not isinstance(other, LinkSet):
@@ -117,68 +116,6 @@ class LinkSet:
     def direct_out(self, i: int) -> tuple[int, ...]:
         """Node i's direct targets in ascending order."""
         return tuple(self.direct_pairs[1, _leaving(self.direct_pairs, i)].tolist())
-
-    def helpers_of(self, k: int) -> tuple[int, ...]:
-        """The helper tuple of coop link k (column k of coop_pairs)."""
-        return tuple(self.helpers[self.helper_start[k]:self.helper_start[k + 1]].tolist())
-
-
-class _PairView:
-    """A read-only view of one of a LinkSet's (src, dst) pair arrays."""
-
-    __slots__ = ("_links", "_pairs")
-
-    def __init__(self, links: LinkSet, pairs: np.ndarray):
-        self._links, self._pairs = links, pairs
-
-    def __len__(self):
-        return self._pairs.shape[1]
-
-    def __iter__(self):
-        return zip(*self._pairs.tolist())
-
-
-class _DirectView(_PairView, Set):
-    """Direct links; set operations with other sets give frozensets."""
-
-    __slots__ = ()
-
-    def __contains__(self, pair):
-        return _column(self._pairs, pair) is not None
-
-    @classmethod
-    def _from_iterable(cls, it):
-        return frozenset(it)
-
-    def __repr__(self):
-        return repr(frozenset(self))
-
-
-class _CoopView(_PairView, Mapping):
-    """Coop links, (src, dst) -> helper tuple."""
-
-    __slots__ = ()
-
-    def __getitem__(self, pair):
-        k = _column(self._pairs, pair)
-        if k is None:
-            raise KeyError(pair)
-        return self._links.helpers_of(k)
-
-    def __repr__(self):
-        return repr(dict(self))
-
-
-def _column(pairs: np.ndarray, pair) -> int | None:
-    """The column of pairs, sorted by (src, dst), that holds pair, or
-    None if none does."""
-    try:
-        src, dst = pair
-        run = _leaving(pairs, src)
-        k = run.start + int(pairs[1, run].searchsorted(dst))
-    except (TypeError, ValueError, OverflowError):  # not a pair of int64 ids
-        return None
-    return k if k < run.stop and pairs[1, k] == dst else None
 
 
 def _pair_array(pairs: list[tuple[int, int]]) -> np.ndarray:
@@ -231,10 +168,15 @@ def build_links(nodes: list[SensorNode], phy: PhyParams) -> LinkSet:
     order = sorted(nodes, key=lambda n: n.id)
     ids = [n.id for n in order]
     x, y = np.array([(n.x, n.y) for n in order], dtype=float).T
-    dx, dy = x[:, None] - x, y[:, None] - y
-    # Correctly rounded where the squares sum exactly (integer
-    # coordinates, say), so equidistant nodes tie; np.hypot may not be.
-    dist = np.sqrt(dx * dx + dy * dy)
+    with np.errstate(over="ignore"):  # checked below
+        dx, dy = x[:, None] - x, y[:, None] - y
+        # Correctly rounded where the squares sum exactly (integer
+        # coordinates, say), so equidistant nodes tie; np.hypot may not be.
+        dist = np.sqrt(dx * dx + dy * dy)
+    far = np.argwhere(dist == np.inf)
+    if len(far):
+        i, j = far[0].tolist()  # first in row-major order, so i < j
+        raise ValueError(f"nodes {ids[i]} and {ids[j]} are too far apart for a float distance")
     np.fill_diagonal(dist, np.inf)
     shared = np.argwhere(dist == 0.0)
     if len(shared):

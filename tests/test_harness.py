@@ -430,6 +430,17 @@ class TestCli:
             assert cli.main([command, "--topology", str(topo)]) == 1
             assert capsys.readouterr().err == "error: node ids must fit in 64 bits\n"
 
+    def test_nodes_too_far_apart_is_an_error(self, tmp_path, capsys):
+        topo = tmp_path / "topo.json"
+        topo.write_text(json.dumps({"nodes": [
+            {"id": 0, "x": 0, "y": 0, "rate": -1}, {"id": 1, "x": 1e308, "y": 0}, {"id": 2, "x": -1e308, "y": 0},
+        ]}))
+        for command in ("lp", "simulate"):
+            assert cli.main([command, "--topology", str(topo)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: nodes 0 and 1 are too far apart for a float distance\n"
+
     @pytest.mark.parametrize("field, k", [("energy", 39), ("energy", 40), ("rate", 40)])
     @pytest.mark.parametrize("flags", [[], ["--no-coop"]])
     def test_lp_plan_off_its_rows_is_an_error(self, tmp_path, capsys, field, k, flags):

@@ -54,11 +54,12 @@ def assert_feasible_flows(nodes, links, sol, tol=1e-9):
     duty included, recomputed from qhat."""
     net = {n.id: 0.0 for n in nodes}
     spent = {n.id: 0.0 for n in nodes}
+    helpers = links.coop  # each read builds a new dict
     for (i, j, coop), q in sol.qhat.items():
         assert q > 0.0
         net[i] += q
         net[j] -= q
-        for v in (i, *(links.coop[(i, j)] if coop else ())):
+        for v in (i, *(helpers[(i, j)] if coop else ())):
             spent[v] += q
     for n in nodes:
         if not n.is_sink:

@@ -73,6 +73,16 @@ class TestBuildLinks:
         with pytest.raises(ValueError, match="^nodes 2 and 9 share a position$"):
             build_links(nodes, phy)
 
+    def test_nodes_too_far_apart_rejected(self, phy):
+        # (1e308)^2 overflows, and so does 1e308 - (-1e308)
+        nodes = [
+            SensorNode(id=5, x=-1e308, y=0.0),
+            SensorNode(id=0, x=0.0, y=0.0, rate=-1.0),
+            SensorNode(id=3, x=1e308, y=0.0),
+        ]
+        with pytest.raises(ValueError, match="^nodes 0 and 3 are too far apart for a float distance$"):
+            build_links(nodes, phy)
+
     @pytest.mark.parametrize("x3", [60.0, 30.0])  # the repeat apart, or on one spot
     def test_duplicate_ids_rejected(self, phy, x3):
         # Unchecked, id 1 would link to itself and help its own coop
@@ -198,7 +208,9 @@ class TestLinkIndex:
         direct, coop = links.direct, links.coop
         assert [tuple(p) for p in links.direct_pairs.T.tolist()] == sorted(direct)
         assert [tuple(p) for p in links.coop_pairs.T.tolist()] == sorted(coop)
-        assert [links.helpers_of(k) for k in range(len(coop))] == [coop[p] for p in sorted(coop)]
+        start = links.helper_start.tolist()
+        helpers = [tuple(links.helpers[a:b].tolist()) for a, b in zip(start, start[1:])]
+        assert helpers == [coop[p] for p in sorted(coop)]
         succ, coop_succ = scanned_adjacency(direct), scanned_adjacency(coop)
         for i in {i for pair in direct | coop.keys() for i in pair}:
             assert links.direct_out(i) == succ.get(i, ())
@@ -295,19 +307,17 @@ class TestLinkSet:
         with pytest.raises(KeyError):
             links.coop[(99, 99)]
 
-    def test_views_keep_nothing_per_link(self, phy):
-        links = build_links(connected_topology(phy, 100, 1)[0], phy)
-        pair = min(links.coop)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            views = links.direct, links.coop
-            sizes = len(links.direct), len(links.coop), pair in links.direct, links.coop[pair]
-            kept = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert sizes[:2] == (2496, 897) and views
-        assert kept <= 1_000, kept
+    def test_reads_are_fresh_frozenset_and_dict(self, phy, snapshot_nodes):
+        links = build_links(snapshot_nodes, phy)
+        twin = replace(links)
+        direct, coop = links.direct, links.coop
+        assert type(direct) is frozenset and type(coop) is dict
+        assert len(coop) >= 2
+        coop[min(coop)] = (-1,)
+        del coop[max(coop)]
+        coop[(99, 99)] = (0,)
+        assert links.coop == twin.coop and links.coop != coop
+        assert (links == twin) is True and links.direct == direct
 
     def test_arrays_must_match_fields(self):
         with pytest.raises(ValueError):
@@ -383,7 +393,8 @@ def reference_lp_matrix(nodes, links, with_coop):
     sinks = {n.id for n in nodes if n.is_sink}
     sensors = [n for n in nodes if not n.is_sink]
     arcs = [(i, j) for (i, j) in sorted(links.direct) if i not in sinks]
-    coop = [(i, m) for (i, m) in sorted(links.coop) if i not in sinks] if with_coop else []
+    helpers = links.coop  # each read builds a new dict
+    coop = [(i, m) for (i, m) in sorted(helpers) if i not in sinks] if with_coop else []
     nd, nc, ns = len(arcs), len(coop), len(sensors)
     t_col = nd + nc
     rows, rhs = [], []
@@ -399,7 +410,7 @@ def reference_lp_matrix(nodes, links, with_coop):
         for k, (i, _j) in enumerate(arcs):
             row[k] = float(i == node.id)
         for k, (i, m) in enumerate(coop):
-            row[nd + k] = float(i == node.id) + float(node.id in links.coop[(i, m)])
+            row[nd + k] = float(i == node.id) + float(node.id in helpers[(i, m)])
         row[t_col + 1 + r] = 1.0
         rows.append(row)
         rhs.append(node.energy)
@@ -966,9 +977,10 @@ def reference_simulate(nodes, links, params=CostParams()):
     """The round-based heuristic with every link cost recomputed from
     the remaining energies on each relaxation; each sensor emits
     round(rate) packets a round."""
-    # Copy the links into a frozenset and a dict once: the oracle looks
-    # them up on every relaxation, and a LinkSet view searches arrays.
-    links = SimpleNamespace(direct=frozenset(links.direct), coop=dict(links.coop), direct_out=links.direct_out)
+    # Read the links once: the oracle looks them up on every
+    # relaxation, and each read of a LinkSet's direct or coop builds a
+    # new frozenset or dict.
+    links = SimpleNamespace(direct=links.direct, coop=links.coop, direct_out=links.direct_out)
     sinks = {n.id for n in nodes if n.is_sink}
     initial = {n.id: n.energy for n in nodes}
     remaining = dict(initial)
