@@ -144,6 +144,10 @@ class CostParams:
     def __post_init__(self):
         if not (self.beta1 > 0 and self.beta2 > 0):  # NaN fails too
             raise ValueError("cost exponents must be positive")
+        # Energies stay below 2**53 and remaining at 1 or more, so a
+        # term stays below 2**(53*beta): a float up to beta = 19.
+        if not (self.beta1 <= 19 and self.beta2 <= 19):
+            raise ValueError(f"cost exponents must be at most 19, got {max(self.beta1, self.beta2):g}")
 
 
 def _check_ids(nodes: list[SensorNode]) -> None:
@@ -335,30 +339,44 @@ def _least_cost_path(
     groups: list[list[tuple[tuple[int, ...], list[int], list[int]]]],
     tx: list[float],
     helper: list[float],
+    floor: list[float],
+    seed: list[tuple[int, tuple[int, ...]]] | None = None,
 ) -> list[tuple[int, tuple[int, ...]]] | None:
     """Deterministic Dijkstra on dense node indexes over direct and
     cooperative links.  groups[u] holds u's out-edges as (helpers,
     sink targets, relay targets), direct links under (); a group's
-    links all cost tx[u] + helper[h] per helper.  Ties are broken
-    toward the lower predecessor index, then the lower sink index.
-    Returns the path as (transmitter, helpers) edges.
+    links all cost tx[u] + helper[h] per helper.  floor[v] is 0.0 where
+    v has a direct link to a sink, else 1.0.  Ties are broken toward the
+    lower predecessor index, then the lower sink index.  Returns the
+    path as (transmitter, helpers) edges.
 
-    The search drops what cannot beat the best sink reached.  Relaxing
-    a sink at nd lowers cut to nd*(1 + 1e-12) + 1e-12 if that is
-    lower.  A group whose links reach past cut is skipped, and so are
-    its relay targets once nd + 1 > cut.  The path is still that of
-    the unbounded search:
+    The search drops what cannot beat the best sink known.  Relaxing a
+    sink at nd, or pricing seed (an earlier path from src; one that
+    starts elsewhere is ignored) at nd at the current costs, lowers cut
+    to nd*(1 + 1e-12) + 1e-12 if that is lower.  A popped u with
+    d + tx[u] > cut relaxes nothing.  A group whose links reach past
+    cut is skipped, and so are its relay targets once nd + 1 > cut, and
+    a relay v once nd + tx[v] + floor[v] > cut.  An origin with a direct
+    link to a sink and tx[src] < 2**52 gets [(src, ())] with no search.
+    The path is still that of the unbounded search:
 
     - Every link costs at least 1 (each finite cost term is at least
       1), so pops come in nondecreasing order.  The search returns at
       the first sink popped, at some D no greater than any sink value
-      relaxed before.  So cut exceeds D by about 1e-12*(1 + D): far
-      more than the 1e-15 tie tolerance, and than any rounding.
-    - A skipped group value is above cut.  A skipped relay at nd leads
-      only to values of at least fl(nd + 1) > cut: one more link,
-      rounded monotonically.  Whatever the unbounded search does with
-      a skipped target thus leads only above cut.  Its heap entries pop
-      after the sink, and it cannot be on the sink's path.
+      relaxed before.  Nor is D above the seed's price by more than
+      1e-15 and a rounding per hop: each node on the seed gets a value
+      within that of its prefix, and it pops no later.  So cut exceeds
+      D by about 1e-12*(1 + D): far more than the 1e-15 tie tolerance,
+      and than any rounding.
+    - A popped u's groups all cost at least tx[u], so each is skipped.
+      A skipped group value is above cut.  A skipped relay v at nd
+      leads only to values of at least nd + tx[v] + floor[v], up to
+      rounding: v's next link costs at least tx[v], and one that does
+      not end at a sink directly adds a helper term or a further link,
+      each at least 1.  Whatever the unbounded search does with a
+      skipped target thus leads only above cut, less roundings far
+      below its margin.  Its heap entries pop after the sink, and it
+      cannot be on the sink's path.
     - A skipped update can also change a later test on its target, but
       only for a candidate within 1e-15 of the skipped value, and such
       a candidate again leads only above cut less 1e-15.  Each further
@@ -368,7 +386,14 @@ def _least_cost_path(
       alike, unless n is in the thousands.
     - Targets in one group are independent, so scanning its sinks
       first changes no node's state.
+    - From src with a direct link to a sink, the unbounded search
+      relaxes that sink at tx[src].  Every other way out of src costs at
+      least fl(tx[src] + 1), which below 2**52 exceeds tx[src] + 1e-15,
+      so nothing ties it.  The path names no sink, so which one pops
+      does not matter.  From 2**52 on, adding 1 can round away.
     """
+    if floor[src] == 0.0 and tx[src] < 2.0**52:
+        return [(src, ())]
     n = len(tx)
     dist = [math.inf] * n
     pred = [0] * n
@@ -378,6 +403,14 @@ def _least_cost_path(
     heap = [(0.0, src)]
     pop, push = heapq.heappop, heapq.heappush
     cut = math.inf
+    if seed and seed[0][0] == src:
+        price = 0.0
+        for u, helpers in seed:
+            w = tx[u]
+            for h in helpers:
+                w += helper[h]
+            price += w
+        cut = price * (1 + 1e-12) + 1e-12  # inf through a drained node
     while heap:
         d, u = pop(heap)
         if done[u]:
@@ -390,7 +423,7 @@ def _least_cost_path(
                 u = pred[u]
             return path[::-1]
         t = tx[u]
-        if t == math.inf:
+        if t == math.inf or d + t > cut:
             continue
         for helpers, sinks, relays in groups[u]:
             w = t
@@ -413,9 +446,9 @@ def _least_cost_path(
             if nd + 1.0 > cut:
                 continue
             for v in relays:
-                # Every cost term is >= 1, so an edge into a finalized
-                # node can pass neither test below.
-                if done[v]:
+                # A finalized node keeps its state; below 2**53 no edge
+                # into it could pass the tests below, each term being >= 1.
+                if done[v] or nd + tx[v] + floor[v] > cut:
                     continue
                 dv = dist[v]
                 if nd < dv - 1e-15 or (abs(nd - dv) <= 1e-15 and u < pred[v]):
@@ -481,21 +514,26 @@ def simulate_dynamic(
     if emitted == 0:
         raise ValueError("no sensor emits a packet per round (every rate rounds to 0)")
     groups = [_weight_groups(links, i, index, is_sink) for i in ids]
+    floor = [0.0 if any(not h and s for h, s, _r in g) else 1.0 for g in groups]
     tx = [dynamic_cost(e, e, params.beta1) for e in initial]
-    helper = [dynamic_cost(e, e, params.beta2) for e in initial]
+    same = params.beta2 == params.beta1  # then one table serves both terms
+    helper = tx if same else [dynamic_cost(e, e, params.beta2) for e in initial]
+    last: list[list[tuple[int, tuple[int, ...]]] | None] = [None] * len(ids)
 
     for rnd in itertools.count():
         delivered = 0
         for origin, count in packets:
             for _ in range(count):
-                path = _least_cost_path(origin, is_sink, groups, tx, helper)
+                path = _least_cost_path(origin, is_sink, groups, tx, helper, floor, last[origin])
                 if path is None:
                     return rnd + delivered / emitted
+                last[origin] = path
                 for i, helpers in path:
                     for k in (i, *helpers):
                         remaining[k] -= 1.0
                         tx[k] = dynamic_cost(initial[k], remaining[k], params.beta1)
-                        helper[k] = dynamic_cost(initial[k], remaining[k], params.beta2)
+                        if not same:
+                            helper[k] = dynamic_cost(initial[k], remaining[k], params.beta2)
                 delivered += 1
 
 

@@ -317,6 +317,8 @@ class TestCli:
             (["disk", "--alpha", "1000"], "path-loss exponent must be at most 8, got 1000"),
             # R^alpha past the float range
             (["gain", "ct", "--radius", "1e100", "--dist", "1e200"], "noise*R^alpha/(4P) = inf > 1"),
+            (["simulate", "--beta1", "2000"], "cost exponents must be at most 19, got 2000"),
+            (["simulate", "--beta2", "inf"], "cost exponents must be at most 19, got inf"),
         ],
     )
     def test_bad_input_is_one_error_line(self, tmp_path, snapshot_nodes, capsys, argv, message):

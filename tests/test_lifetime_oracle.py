@@ -318,3 +318,28 @@ def test_one_wide_battery_beside_coop_only_sensors(phy):
     # refuses it, as the other batteries' rows lie below its resolution.
     base, lifetimes = wide_lifetimes(phy, load_topology(str(GOLDEN / "topo12c.json")), "energy", True)
     assert all(t is None or t >= base for t in lifetimes)
+
+
+def test_dynamic_heuristic_stays_under_the_coop_lp(phy):
+    # Each whole round of simulate_dynamic sends round(r_i) packets from
+    # each sensor and charges one unit per transmission and per helper,
+    # as the coop LP's energy rows do, and no node goes below 0 units.
+    # So the whole rounds are a feasible lifetime of the coop LP at
+    # rates round(r_i), and floor(dynamic) is at most its optimum, less
+    # the LP's rounding (1e-9 relative is far above it).  On the golden
+    # topologies, and on 105 generate_topology instances (n = 10-30,
+    # seeds 3600-3704, the 30-node field's density) with 40-unit
+    # batteries; each of them runs for at least 10 whole rounds.
+    nets = golden_topologies()
+    for k in range(105):
+        n = 10 + k % 21
+        nodes = generate_topology(n, 100.0 * math.sqrt(n / 30), 3600 + k)
+        nets.append([replace(v, energy=40.0) for v in nodes])
+    rounds = []
+    for nodes in nets:
+        links = build_links(nodes, phy)
+        rounded = [v if v.is_sink else replace(v, rate=float(round(v.rate))) for v in nodes]
+        lp = solve_lifetime_lp(rounded, links, with_coop=True).lifetime
+        rounds.append(math.floor(simulate_dynamic(nodes, links)))
+        assert rounds[-1] <= lp * (1 + 1e-9), (len(rounds), lp)
+    assert min(rounds) >= 10
